@@ -6,15 +6,22 @@
 // (text, nocase, hex byte sequences) and boolean conditions over them
 // ("any of them", "all of them", "N of them", and/or of identifiers) — and
 // matches rules against raw bytes.
+//
+// Parse compiles every string definition of every rule into one multi-pattern
+// automaton (see matcher), so matching is a single pass over the content
+// whatever the number of rules, and allocates only the results it returns.
+// `nocase` folds ASCII letters only, as YARA defines it: "xmrİg" (U+0130) does
+// not match "xmrig" nocase. A parsed RuleSet is immutable and may be shared by any
+// number of goroutines.
 package yara
 
 import (
-	"bytes"
 	"encoding/hex"
 	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // StringDef is a single string definition inside a rule ($name = "value").
@@ -42,6 +49,8 @@ type Expr struct {
 	Ident string // for Op == "id"
 	Left  *Expr
 	Right *Expr
+
+	def int // for Op == "id": the index of Ident among the rule's strings
 }
 
 // Rule is one parsed YARA-like rule.
@@ -60,9 +69,13 @@ type MatchResult struct {
 	MatchedStrings []string
 }
 
-// RuleSet is a compiled collection of rules.
+// RuleSet is a compiled collection of rules, built by Parse. Rules is what
+// was parsed, for inspection; matching runs on the automaton Parse compiled
+// from it, so a RuleSet is read-only once built.
 type RuleSet struct {
 	Rules []Rule
+
+	m *matcher
 }
 
 var (
@@ -143,6 +156,14 @@ func Parse(src string) (*RuleSet, error) {
 			if err != nil {
 				return nil, fmt.Errorf("yara: rule %q: %w", cur.Name, err)
 			}
+			// Anonymous strings ("$") may repeat; a name may not.
+			if def.Name != "$" {
+				for _, prev := range cur.Strings {
+					if prev.Name == def.Name {
+						return nil, fmt.Errorf("yara: rule %q: duplicated string identifier %q", cur.Name, def.Name)
+					}
+				}
+			}
 			cur.Strings = append(cur.Strings, def)
 		case "condition":
 			condLines = append(condLines, line)
@@ -154,6 +175,7 @@ func Parse(src string) (*RuleSet, error) {
 	if len(rs.Rules) == 0 {
 		return nil, fmt.Errorf("yara: no rules found in source")
 	}
+	rs.m = compile(rs.Rules)
 	return &rs, nil
 }
 
@@ -186,6 +208,9 @@ func parseStringDef(line string) (StringDef, error) {
 		def.Pattern = raw
 	default:
 		return StringDef{}, fmt.Errorf("unsupported string value %q", val)
+	}
+	if len(def.Text)+len(def.Pattern) == 0 {
+		return StringDef{}, fmt.Errorf("empty string in %q", line)
 	}
 	return def, nil
 }
@@ -252,31 +277,31 @@ func parseCondition(text string, strs []StringDef) (Condition, error) {
 	if strings.TrimSpace(rest) != "" {
 		return Condition{}, fmt.Errorf("trailing tokens in condition %q", text)
 	}
-	// Verify referenced identifiers exist.
-	known := map[string]bool{}
-	for _, s := range strs {
-		known[s.Name] = true
-	}
-	if err := checkIdents(expr, known); err != nil {
+	if err := resolveIdents(expr, strs); err != nil {
 		return Condition{}, err
 	}
 	return Condition{Kind: "expr", Expr: expr}, nil
 }
 
-func checkIdents(e *Expr, known map[string]bool) error {
+// resolveIdents binds every identifier in e to the definition it names.
+// Anonymous strings have no name to refer to.
+func resolveIdents(e *Expr, strs []StringDef) error {
 	if e == nil {
 		return nil
 	}
 	if e.Op == "id" {
-		if !known[e.Ident] {
-			return fmt.Errorf("condition references undefined string %q", e.Ident)
+		for i, s := range strs {
+			if s.Name == e.Ident && e.Ident != "$" {
+				e.def = i
+				return nil
+			}
 		}
-		return nil
+		return fmt.Errorf("condition references undefined string %q", e.Ident)
 	}
-	if err := checkIdents(e.Left, known); err != nil {
+	if err := resolveIdents(e.Left, strs); err != nil {
 		return err
 	}
-	return checkIdents(e.Right, known)
+	return resolveIdents(e.Right, strs)
 }
 
 // Recursive-descent parser for: or := and ("or" and)* ; and := unary ("and" unary)* ;
@@ -356,74 +381,57 @@ func isIdentChar(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-// matchString reports whether a string definition occurs in content.
-func matchString(def StringDef, content []byte) bool {
-	if def.IsHex {
-		return bytes.Contains(content, def.Pattern)
-	}
-	if def.NoCase {
-		return bytes.Contains(bytes.ToLower(content), bytes.ToLower(def.Text))
-	}
-	return bytes.Contains(content, def.Text)
-}
-
-// Match evaluates a single rule against content.
-func (r *Rule) Match(content []byte) MatchResult {
-	res := MatchResult{Rule: r.Name}
-	matched := map[string]bool{}
-	for _, def := range r.Strings {
-		if matchString(def, content) {
-			matched[def.Name] = true
-			res.MatchedStrings = append(res.MatchedStrings, def.Name)
-		}
-	}
-	switch r.Condition.Kind {
-	case "any":
-		res.Matched = len(matched) > 0
-	case "all":
-		res.Matched = len(matched) == len(r.Strings) && len(r.Strings) > 0
-	case "n-of":
-		res.Matched = len(matched) >= r.Condition.N
-	case "expr":
-		res.Matched = evalExpr(r.Condition.Expr, matched)
-	}
-	return res
-}
-
-func evalExpr(e *Expr, matched map[string]bool) bool {
-	if e == nil {
-		return false
-	}
-	switch e.Op {
-	case "id":
-		return matched[e.Ident]
-	case "and":
-		return evalExpr(e.Left, matched) && evalExpr(e.Right, matched)
-	case "or":
-		return evalExpr(e.Left, matched) || evalExpr(e.Right, matched)
-	case "not":
-		return !evalExpr(e.Left, matched)
-	default:
-		return false
-	}
-}
-
-// Match evaluates every rule in the set and returns the results of the rules
-// that matched.
+// Match evaluates every rule in the set over one scan of content and returns
+// the results of the rules that matched, in source order, each with its
+// matched strings in definition order.
 func (rs *RuleSet) Match(content []byte) []MatchResult {
-	var out []MatchResult
-	for i := range rs.Rules {
-		if r := rs.Rules[i].Match(content); r.Matched {
-			out = append(out, r)
+	m := rs.m
+	var buf [stackWords]uint64
+	hits := m.scan(content, buf[:])
+	nRules, nNames := 0, 0
+	for i := range m.rules {
+		if ok, n := m.rules[i].eval(hits); ok {
+			nRules++
+			nNames += n
 		}
+	}
+	if nRules == 0 {
+		return nil
+	}
+	// Two allocations whatever matched: the results, and one backing array
+	// their MatchedStrings are cut from.
+	out := make([]MatchResult, nRules)
+	names := make([]string, nNames)
+	o, k := 0, 0
+	for i := range m.rules {
+		r := &m.rules[i]
+		ok, n := r.eval(hits)
+		if !ok {
+			continue
+		}
+		out[o] = MatchResult{Rule: r.name, Matched: true}
+		if n > 0 {
+			start := k
+			for d := r.lo; d < r.hi; d++ {
+				if has(hits, d) {
+					names[k] = m.names[d]
+					k++
+				}
+			}
+			out[o].MatchedStrings = names[start:k:k]
+		}
+		o++
 	}
 	return out
 }
 
 // AnyMatch reports whether at least one rule in the set matches content.
 func (rs *RuleSet) AnyMatch(content []byte) bool {
-	for i := range rs.Rules {
-		if rs.Rules[i].Match(content).Matched {
+	m := rs.m
+	var buf [stackWords]uint64
+	hits := m.scan(content, buf[:])
+	for i := range m.rules {
+		if ok, _ := m.rules[i].eval(hits); ok {
 			return true
 		}
 	}
@@ -499,12 +507,17 @@ rule CryptoMiner_XmrigMarkers : miner
 }
 `
 
-// MinerRules parses MinerRulesSource; it panics on error because the source is
-// a compile-time constant validated by tests.
-func MinerRules() *RuleSet {
+// MinerRules returns MinerRulesSource parsed. The source is parsed and
+// compiled once per process and every caller gets the same immutable RuleSet,
+// so building an analyzer (every engine boot, recovery and scenario fork does)
+// costs nothing. It panics on error because the source is a compile-time
+// constant validated by tests.
+func MinerRules() *RuleSet { return minerRules() }
+
+var minerRules = sync.OnceValue(func() *RuleSet {
 	rs, err := Parse(MinerRulesSource)
 	if err != nil {
 		panic("yara: built-in miner rules failed to parse: " + err.Error())
 	}
 	return rs
-}
+})

@@ -1,9 +1,86 @@
 package yara
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// refMatch is the matcher this package had before the automaton, kept as the
+// oracle the compiled matcher is compared with: one bytes.Contains per string
+// definition, `nocase` by lower-casing both sides with lower, the condition
+// counted by definition. With asciiLower it is the specification; with
+// bytes.ToLower it is what the old code did.
+func refMatch(rs *RuleSet, content []byte, lower func([]byte) []byte) []MatchResult {
+	var folded []byte
+	var out []MatchResult
+	for _, r := range rs.Rules {
+		res := MatchResult{Rule: r.Name}
+		matched := make([]bool, len(r.Strings))
+		n := 0
+		for i, def := range r.Strings {
+			switch {
+			case def.IsHex:
+				matched[i] = bytes.Contains(content, def.Pattern)
+			case def.NoCase:
+				if folded == nil {
+					folded = lower(content)
+				}
+				matched[i] = bytes.Contains(folded, lower(def.Text))
+			default:
+				matched[i] = bytes.Contains(content, def.Text)
+			}
+			if matched[i] {
+				n++
+				res.MatchedStrings = append(res.MatchedStrings, def.Name)
+			}
+		}
+		switch r.Condition.Kind {
+		case "any":
+			res.Matched = n > 0
+		case "all":
+			res.Matched = n > 0 && n == len(r.Strings)
+		case "n-of":
+			res.Matched = n >= r.Condition.N
+		case "expr":
+			res.Matched = refEval(r.Condition.Expr, r.Strings, matched)
+		}
+		if res.Matched {
+			out = append(out, res)
+		}
+	}
+	return out
+}
+
+func refEval(e *Expr, strs []StringDef, matched []bool) bool {
+	switch e.Op {
+	case "id":
+		for i, s := range strs {
+			if s.Name == e.Ident {
+				return matched[i]
+			}
+		}
+		return false
+	case "and":
+		return refEval(e.Left, strs, matched) && refEval(e.Right, strs, matched)
+	case "or":
+		return refEval(e.Left, strs, matched) || refEval(e.Right, strs, matched)
+	default: // "not"
+		return !refEval(e.Left, strs, matched)
+	}
+}
+
+func asciiLower(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		out[i] = c
+	}
+	return out
+}
 
 func TestParseSimpleRule(t *testing.T) {
 	src := `
@@ -59,6 +136,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad hex", "rule R {\n strings:\n $a = { ZZ }\n condition:\n any of them\n}"},
 		{"undefined ident", "rule R {\n strings:\n $a = \"x\"\n condition:\n $a and $b\n}"},
 		{"bad condition", "rule R {\n strings:\n $a = \"x\"\n condition:\n $a and and\n}"},
+		{"duplicate ident", "rule R {\n strings:\n $a = \"x\"\n $a = \"y\"\n condition:\n any of them\n}"},
+		{"anonymous ident referenced", "rule R {\n strings:\n $ = \"x\"\n $b = \"y\"\n condition:\n $ and $b\n}"},
+		{"empty text", "rule R {\n strings:\n $a = \"\"\n condition:\n any of them\n}"},
+		{"empty hex", "rule R {\n strings:\n $a = { }\n condition:\n any of them\n}"},
 	}
 	for _, tt := range cases {
 		if _, err := Parse(tt.src); err == nil {
@@ -127,6 +208,45 @@ func TestMatchNOfThem(t *testing.T) {
 	}
 	if rs.AnyMatch([]byte("only one here")) {
 		t.Error("1 string should not satisfy 2-of-them")
+	}
+}
+
+// Anonymous strings share the name "$" but count one each; the same
+// identifier in two rules is two definitions.
+func TestMatchAnonymousStrings(t *testing.T) {
+	rs, err := Parse(`rule All {
+ strings:
+  $ = "alpha"
+  $ = "beta"
+ condition:
+  all of them
+}
+rule Two {
+ strings:
+  $ = "alpha"
+  $ = "beta"
+  $a = "gamma"
+ condition:
+  2 of them
+}
+rule Other {
+ strings:
+  $a = "delta"
+ condition:
+  $a
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rs.Match([]byte("alpha, then beta"))
+	if len(got) != 2 || got[0].Rule != "All" || got[1].Rule != "Two" {
+		t.Fatalf("both anonymous strings present: got %v, want All and Two", got)
+	}
+	if want := []string{"$", "$"}; !slices.Equal(got[0].MatchedStrings, want) || !slices.Equal(got[1].MatchedStrings, want) {
+		t.Errorf("matched strings = %v and %v, want %v each", got[0].MatchedStrings, got[1].MatchedStrings, want)
+	}
+	if rs.AnyMatch([]byte("alpha alone, twice: alpha")) {
+		t.Error("one anonymous string must not count for two")
 	}
 }
 
@@ -260,17 +380,16 @@ func TestRuleMatchEmptyContent(t *testing.T) {
 func TestConditionAllOfThemEmptyStrings(t *testing.T) {
 	// A rule with no strings and "all of them" should never match.
 	rs, err := Parse(`rule R {
- strings:
-  $a = "x"
  condition:
   all of them
 }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rs.Rules[0]
-	r.Strings = nil
-	if r.Match([]byte("x")).Matched {
+	if len(rs.Rules[0].Strings) != 0 {
+		t.Fatalf("strings = %v, want none", rs.Rules[0].Strings)
+	}
+	if rs.AnyMatch([]byte("x")) || rs.AnyMatch(nil) {
 		t.Error("all-of-them with no strings should not match")
 	}
 }
@@ -280,8 +399,8 @@ func BenchmarkMinerRulesMatch(b *testing.B) {
 	content := []byte(strings.Repeat("padding data ", 1000) +
 		"xmrig -o stratum+tcp://pool.supportxmr.com:3333 -u 4ABC --donate-level=1")
 	b.SetBytes(int64(len(content)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		rs.Match(content)
 	}
 }
