@@ -55,6 +55,7 @@ func run(base string) error {
 		"stream_stage_duration_seconds", "stream_queue_depth", "stream_shards",
 		"stream_samples_submitted_total", "stream_samples_analyzed_total",
 		"stream_collector_lock_hold_seconds",
+		"stream_view_publish_seconds", "stream_view_campaigns_total",
 		"api_requests_total", "api_request_duration_seconds", "api_inflight_requests",
 		"go_goroutines",
 	}

@@ -114,7 +114,7 @@ func (s *Server) handleCampaignDetail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.cfg.Engine.CurrentView()
-	detail, ok := v.Details[id]
+	detail, ok := v.Detail(id)
 	if !ok {
 		s.error(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Sprintf("no campaign with id %d", id))
 		return

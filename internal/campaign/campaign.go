@@ -143,8 +143,17 @@ func New(cfg Config) *Aggregator {
 // Input is one record plus optional raw content (needed only for fuzzy-hash
 // stock-tool attribution of dropped/ancillary binaries).
 type Input struct {
-	Record  model.Record
+	Record model.Record
+	// Content is read by the batch Aggregate. The IncrementalAggregator
+	// resolves the attribution once, in Add, and keeps StockTool instead: the
+	// inputs it holds and exports carry no body.
 	Content []byte
+	// StockTool is the resolved stock-tool attribution ("" for none) on the
+	// inputs an IncrementalAggregator holds; callers leave it empty.
+	StockTool string
+	// resolved is set on the inputs an IncrementalAggregator holds (see
+	// Aggregator.enrich); batch inputs are resolved as they are read.
+	resolved *enrichment
 	// GroundTruthID optionally carries the simulator's campaign ID for
 	// aggregation-quality validation; it plays no role in the aggregation.
 	GroundTruthID int
@@ -443,8 +452,13 @@ func (a *Aggregator) buildCampaign(id int, comp *graph.Component, recByHash map[
 		if rec.Currency != model.CurrencyUnknown && rec.Currency != "" {
 			currencySet[rec.Currency] = true
 		}
-		if pool := a.poolNameOf(rec); pool != "" {
-			poolSet[pool] = true
+		en := in.resolved
+		if en == nil {
+			v := a.enrich(in)
+			en = &v
+		}
+		if en.pool != "" {
+			poolSet[en.pool] = true
 		}
 		for _, itw := range rec.ITWURLs {
 			if u, err := url.Parse(itw); err == nil && u.Hostname() != "" {
@@ -459,17 +473,11 @@ func (a *Aggregator) buildCampaign(id int, comp *graph.Component, recByHash map[
 				c.LastSeen = rec.FirstSeen
 			}
 		}
-		// Enrichment: PPI botnets from OSINT label matching or record field.
-		if rec.PPIBotnet != "" {
-			ppiSet[rec.PPIBotnet] = true
-		} else if labels, ok := a.cfg.AVLabels[rec.SHA256]; ok {
-			if botnet, found := a.cfg.OSINT.PPIBotnetForLabels(labels); found {
-				ppiSet[botnet] = true
-			}
+		if en.ppiBotnet != "" {
+			ppiSet[en.ppiBotnet] = true
 		}
-		// Enrichment: stock mining tools by exact hash or fuzzy hash.
-		if tool, ok := a.stockToolFor(rec, in.Content); ok {
-			stockSet[tool] = true
+		if en.stockTool != "" {
+			stockSet[en.stockTool] = true
 		}
 		if in.GroundTruthID > 0 {
 			gtSet[in.GroundTruthID] = true
@@ -528,6 +536,35 @@ func (a *Aggregator) poolNameOf(rec *model.Record) string {
 		}
 	}
 	return ""
+}
+
+// enrichment is what a campaign takes from one member on its own, as opposed
+// to from the component: the pool it mines at and the third-party
+// infrastructure attributed to it.
+type enrichment struct {
+	pool, ppiBotnet, stockTool string
+}
+
+// enrich resolves one input's enrichment. It is a pure function of the input,
+// the AV labels recorded for it and the configuration as loaded at New, so
+// the IncrementalAggregator computes it once per input, in Add, instead of
+// once per member each time a component is rebuilt — which made a component
+// that grew to k members cost O(k²) lookups and, for the stock tool, O(k²)
+// fuzzy hashes of bodies that had to be kept for the purpose.
+func (a *Aggregator) enrich(in *Input) enrichment {
+	rec := &in.Record
+	en := enrichment{pool: a.poolNameOf(rec), ppiBotnet: rec.PPIBotnet, stockTool: in.StockTool}
+	// PPI botnets from the record field or OSINT label matching.
+	if en.ppiBotnet == "" {
+		if labels, ok := a.cfg.AVLabels[rec.SHA256]; ok {
+			en.ppiBotnet, _ = a.cfg.OSINT.PPIBotnetForLabels(labels)
+		}
+	}
+	// Stock mining tools by exact hash or fuzzy hash.
+	if en.stockTool == "" {
+		en.stockTool, _ = a.stockToolFor(rec, in.Content)
+	}
+	return en
 }
 
 // stockToolFor attributes a record (or its raw content) to a stock mining

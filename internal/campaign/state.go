@@ -16,6 +16,9 @@ import (
 // the first Snapshot after a restore rebuilds them deterministically.
 type AggregatorState struct {
 	// Inputs are the accumulated aggregation inputs, sorted by sample hash.
+	// They carry the resolved stock-tool attribution and no body. A state
+	// written before the attribution was resolved in Add has the body and no
+	// attribution instead; RestoreState resolves and drops it.
 	Inputs []Input
 	// Nodes lists every graph node (isolated ones included), sorted.
 	Nodes []graph.NodeID
@@ -65,8 +68,8 @@ type SampleLabels struct {
 // is detached from the aggregator's mutable structures: inputs are copied by
 // value and component value slices are copied, so the state stays valid (and
 // serializes consistently) even if the aggregator keeps absorbing inputs.
-// Only immutable payloads (sample content bytes, record slices, which the
-// aggregator never rewrites in place) remain shared.
+// Only immutable payloads (record slices, which the aggregator never rewrites
+// in place) remain shared.
 func (ia *IncrementalAggregator) ExportState() *AggregatorState {
 	st := &AggregatorState{
 		SkippedDonations: ia.skippedDonations,
@@ -137,9 +140,14 @@ func (ia *IncrementalAggregator) RestoreState(st *AggregatorState) error {
 	if len(ia.inputs) != 0 || len(ia.comps) != 0 {
 		return errors.New("campaign: restore into a non-empty aggregator")
 	}
-	for i := range st.Inputs {
-		cp := st.Inputs[i]
-		ia.inputs[cp.Record.SHA256] = &cp
+	// Labels first: resolving an input reads them.
+	for _, sl := range st.AVLabels {
+		ia.SetAVLabels(sl.SHA256, sl.Labels)
+	}
+	for _, in := range st.Inputs {
+		// An input written with its body instead of the attribution has the
+		// attribution resolved here, from the body, which is then dropped.
+		ia.inputs[in.Record.SHA256] = ia.resolved(in)
 	}
 	for _, n := range st.Nodes {
 		ia.graph.AddNode(n)
@@ -155,7 +163,7 @@ func (ia *IncrementalAggregator) RestoreState(st *AggregatorState) error {
 	}
 	ia.sets = graph.RestoreDisjointSet(parent, rank)
 	for _, cs := range st.Components {
-		lc := &liveComponent{
+		lc := &Component{
 			byKind:  make(map[model.NodeKind][]string, len(cs.ByKind)),
 			minNode: cs.MinNode,
 		}
@@ -163,12 +171,10 @@ func (ia *IncrementalAggregator) RestoreState(st *AggregatorState) error {
 			lc.byKind[kv.Kind] = append([]string(nil), kv.Values...)
 		}
 		ia.comps[cs.Root] = lc
-	}
-	for _, sl := range st.AVLabels {
-		ia.SetAVLabels(sl.SHA256, sl.Labels)
+		ia.invalidate(lc)
 	}
 	ia.skippedDonations = st.SkippedDonations
-	// Warm the derived campaign caches. The first Snapshot after a restore
+	// Warm the derived campaign caches. The first read after a restore
 	// would rebuild every component anyway; doing it here keeps that cost
 	// inside the restore and off the first read. The warm-up is restoration
 	// work, not new aggregation, so it must not disturb the Rebuilds counter:

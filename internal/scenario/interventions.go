@@ -28,7 +28,7 @@ func apply(shadow *stream.Engine, forked *pool.Directory, baseView *stream.View,
 		fams := normalizeFamilies(iv.Families)
 		var wallets []string
 		for _, c := range baseView.Campaigns {
-			d, ok := baseView.Details[c.ID]
+			d, ok := baseView.Detail(c.ID)
 			if !ok || !campaignMatchesFamilies(d, fams) {
 				continue
 			}

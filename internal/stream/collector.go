@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -65,10 +66,15 @@ type collector struct {
 	// live profit counters in probe mode; probe updates apply deltas against
 	// it so TTL refreshes adjust rather than double-count.
 	pricedProfit map[string]pricedTotals //cryptolint:guardedby Engine.mu
-	// profitCache memoizes per-campaign profit for live views; entries are
-	// keyed by campaign pointer, so a rebuilt (dirty) campaign naturally
-	// misses and gets re-priced.
-	profitCache map[*model.Campaign]profit.CampaignProfit //cryptolint:guardedby Engine.mu
+	// byEarnings is the read tier's entry cache (see viewEntry), one entry
+	// per live component, in listing order; stale queues the entries whose
+	// wallets were re-priced since the last publication, and years is the
+	// yearly roll-up over the entries' first-seen..last-seen spans. All three
+	// are derived data: never exported, rebuilt by the first publication
+	// after a restore.
+	byEarnings []*viewEntry      //cryptolint:guardedby Engine.mu
+	stale      []*viewEntry      //cryptolint:guardedby Engine.mu
+	years      map[int]yearTally //cryptolint:guardedby Engine.mu
 	// finalized flips once finalize has sealed the results; late probe
 	// updates (forced refreshes) must no longer touch shared campaign state.
 	finalized bool //cryptolint:guardedby Engine.mu
@@ -103,7 +109,7 @@ func newCollector(e *Engine) *collector {
 		wallets:      profit.NewCachedCollector(profit.NewCollector(e.cfg.Pools, e.cfg.Rates, e.cfg.QueryTime)),
 		seenWallets:  map[string]bool{},
 		pricedProfit: map[string]pricedTotals{},
-		profitCache:  map[*model.Campaign]profit.CampaignProfit{},
+		years:        map[int]yearTally{},
 	}
 	if e.cfg.Prober != nil {
 		c.collect = e.cfg.Prober.CollectWallet
@@ -458,17 +464,20 @@ func (c *collector) finalize() *Results {
 
 	res.Aggregation = c.agg.Snapshot()
 	res.Campaigns = res.Aggregation.Campaigns
-	// Price every campaign once and seed the live-view cache with the final
-	// figures: Live calls after Finish then only read, never re-price — they
-	// must not mutate campaigns shared with the returned Results.
-	c.profitCache = make(map[*model.Campaign]profit.CampaignProfit, len(res.Campaigns))
-	for _, cam := range res.Campaigns {
-		cp := profit.AnalyzeCampaignWith(cam, c.collect, c.e.cfg.QueryTime)
-		c.profitCache[cam] = cp
+	// Price every campaign once, against the converged activity, and derive
+	// every cached entry from those figures: publications after Finish then
+	// only copy, never re-price — they must not mutate campaigns shared with
+	// the returned Results.
+	c.syncPartition()
+	c.unfileAll()
+	for _, comp := range c.agg.Components() {
+		cp := profit.AnalyzeCampaignWith(comp.Campaign, c.collect, c.e.cfg.QueryTime)
+		c.derive(comp.Attachment.(*viewEntry), cp, true)
 		if cp.XMR > 0 {
 			res.Profits = append(res.Profits, cp)
 		}
 	}
+	slices.SortFunc(c.byEarnings, compareEarnings)
 	sort.Slice(res.Profits, func(i, j int) bool { return res.Profits[i].XMR > res.Profits[j].XMR })
 	for _, cp := range res.Profits {
 		res.TotalXMR += cp.XMR

@@ -1,13 +1,13 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,8 +17,6 @@ import (
 	"cryptomining/internal/model"
 	"cryptomining/internal/obs"
 	"cryptomining/internal/probe"
-	"cryptomining/internal/profit"
-	"cryptomining/internal/report"
 	"cryptomining/internal/static"
 	"cryptomining/internal/timeseries"
 )
@@ -107,6 +105,11 @@ type Engine struct {
 // nil when metrics are disabled; the hot paths guard on that.
 type engineMetrics struct {
 	lockHold *obs.Histogram
+	// publish times one view publication; rebuilt / reused count, per
+	// publication, the campaigns whose cached entry was re-derived and the
+	// ones copied as they were.
+	publish         *obs.Histogram
+	rebuilt, reused *obs.Counter
 }
 
 // stageOptions composes the observer set for the stage at idx: the engine's
@@ -127,12 +130,18 @@ func (e *Engine) stageOptions(idx int) []StageOption {
 // registerMetrics wires the engine's gauges, counters and histograms into
 // the registry. Counter-style families bridge the existing atomic counter
 // block via CounterFunc, so the hot path pays nothing new for them; only
-// the collector lock-hold histogram adds clock reads, and only when metrics
-// are enabled.
+// the collector lock-hold and view-publication histograms add clock reads,
+// and only when metrics are enabled.
 func (e *Engine) registerMetrics(reg *obs.Registry) {
 	e.obs.lockHold = reg.Histogram("stream_collector_lock_hold_seconds",
 		"Time the collector holds the engine mutex per absorbed sample or probe update.",
 		obs.LatencyBuckets)
+	e.obs.publish = reg.Histogram("stream_view_publish_seconds",
+		"Time one publication of the read view takes, under the collector mutex.",
+		obs.LatencyBuckets)
+	const campaignsHelp = "Campaigns in published views, by whether the publication re-priced and re-derived them or reused the cached entry."
+	e.obs.rebuilt = reg.Counter("stream_view_campaigns_total", campaignsHelp, obs.L("result", "rebuilt"))
+	e.obs.reused = reg.Counter("stream_view_campaigns_total", campaignsHelp, obs.L("result", "reused"))
 	reg.GaugeFunc("stream_queue_depth",
 		"Samples queued in the engine-wide bounded channels.",
 		func() float64 { return float64(len(e.in)) }, obs.L("queue", "intake"))
@@ -233,19 +242,27 @@ func New(cfg Config) *Engine {
 }
 
 // onProbeUpdate folds one completed wallet probe into the live state: the
-// running profit totals (for wallets the dataset has seen), an invalidated
-// per-campaign profit cache so live views re-price lazily, and a
-// profit_updated / probe_error event on the pub/sub. Updates arriving after
-// finalize are dropped — the results are sealed, and re-pricing would mutate
-// campaigns shared with the returned Results.
+// running profit totals (for wallets the dataset has seen), a re-priced entry
+// for the one campaign that owns the wallet, and a profit_updated /
+// probe_error event on the pub/sub. Updates arriving after finalize are
+// dropped — the results are sealed, and re-pricing would mutate campaigns
+// shared with the returned Results.
 func (e *Engine) onProbeUpdate(u probe.Update) {
+	e.mu.Lock()
 	var t0 time.Time
 	if e.obs.lockHold != nil {
 		t0 = time.Now() //cryptolint:allow directclock collector lock-hold telemetry only
 	}
-	e.mu.Lock()
+	e.probeUpdateLocked(u)
+	if e.obs.lockHold != nil {
+		e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
+	}
+	e.mu.Unlock()
+}
+
+// probeUpdateLocked is onProbeUpdate under e.mu.
+func (e *Engine) probeUpdateLocked(u probe.Update) {
 	if e.col.finalized {
-		e.mu.Unlock()
 		return
 	}
 	if e.ts != nil {
@@ -253,15 +270,12 @@ func (e *Engine) onProbeUpdate(u probe.Update) {
 	}
 	if e.col.seenWallets[u.Wallet] {
 		e.col.applyProbedActivity(u.Wallet, u.Activity)
-		// Only a wallet the dataset has seen can change campaign figures:
-		// drop the per-campaign profit cache and republish, so the swapped-in
-		// view re-prices every campaign against the updated activity. The
-		// republish happens before the scheduler decrements its in-flight
-		// counter, so a client that observes probe convergence always reads a
-		// view covering the final probe.
-		if len(e.col.profitCache) > 0 {
-			e.col.profitCache = map[*model.Campaign]profit.CampaignProfit{}
-		}
+		// Only a wallet the dataset has seen can change campaign figures, and
+		// only those of the campaign it belongs to: queue that one entry and
+		// republish. The republish happens before the scheduler decrements
+		// its in-flight counter, so a client that observes probe convergence
+		// always reads a view covering the final probe.
+		e.col.markWalletStale(u.Wallet)
 		e.publishViewLocked()
 	}
 	ev := Event{
@@ -277,10 +291,6 @@ func (e *Engine) onProbeUpdate(u probe.Update) {
 		ev.Error = u.Err
 	}
 	e.publish(ev)
-	e.mu.Unlock()
-	if e.obs.lockHold != nil {
-		e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
-	}
 }
 
 // Start launches the dispatcher, the sharded stage chains and the collector.
@@ -371,9 +381,8 @@ func (e *Engine) dispatch(ctx context.Context) {
 // collect drains analyzed samples into the collector. Samples are absorbed
 // in batches: one mutex hold drains everything already queued on the
 // outcomes channel (bounded by its capacity), then publishes a single view
-// for the whole batch — so the O(campaigns) snapshot build amortizes over
-// the batch under load, while a quiet feed still republishes after every
-// sample.
+// for the whole batch — so the view's flat copy amortizes over the batch
+// under load, while a quiet feed still republishes after every sample.
 func (e *Engine) collect(ctx context.Context) {
 	defer close(e.done)
 	for {
@@ -384,13 +393,13 @@ func (e *Engine) collect(ctx context.Context) {
 			if !ok {
 				return
 			}
+			closed := false
+			var analyzed, duplicates int64
+			e.mu.Lock()
 			var t0 time.Time
 			if e.obs.lockHold != nil {
 				t0 = time.Now() //cryptolint:allow directclock collector lock-hold telemetry only
 			}
-			closed := false
-			var analyzed, duplicates int64
-			e.mu.Lock()
 			for it != nil {
 				// One clock read covers every series point this sample records
 				// (arrival, keep, retroactive keeps it triggers), keeping the
@@ -436,10 +445,10 @@ func (e *Engine) collect(ctx context.Context) {
 			// then loads a view covering all N samples.
 			e.stats.analyzed.Add(analyzed)
 			e.stats.duplicates.Add(duplicates)
-			e.mu.Unlock()
 			if e.obs.lockHold != nil {
 				e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
 			}
+			e.mu.Unlock()
 			if closed {
 				return
 			}
@@ -562,9 +571,9 @@ func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 	}
 	e.mu.Lock()
 	res := e.col.finalize()
-	// Republish so the read tier serves the sealed figures: finalize seeds
-	// the profit cache with the final per-campaign pricing, so this build
-	// only reads, never re-prices.
+	// Republish so the read tier serves the sealed figures: finalize left
+	// every cached entry derived from the final per-campaign pricing, so this
+	// publication only copies, never re-prices.
 	e.publishViewLocked()
 	e.mu.Unlock()
 	if p := e.cfg.Prober; p != nil {
@@ -636,39 +645,6 @@ func (f CampaignFilter) Matches(v CampaignView) bool {
 	return true
 }
 
-// liveCampaigns snapshots the current campaign partition and returns every
-// campaign priced. Dirty campaigns are rebuilt and re-priced incrementally;
-// clean ones reuse both their cached campaign and their cached profit (a
-// rebuilt campaign is a fresh pointer, so the pointer-keyed profit cache
-// misses exactly when re-pricing is needed). Caller must hold e.mu.
-func (e *Engine) liveCampaigns() ([]*model.Campaign, map[*model.Campaign]profit.CampaignProfit) {
-	res := e.col.agg.Snapshot()
-	fresh := make(map[*model.Campaign]profit.CampaignProfit, len(res.Campaigns))
-	for _, c := range res.Campaigns {
-		cp, priced := e.col.profitCache[c]
-		if !priced {
-			cp = profit.AnalyzeCampaignWith(c, e.col.collect, e.cfg.QueryTime)
-		}
-		fresh[c] = cp
-	}
-	// Swap in the rebuilt cache so entries for replaced campaigns are dropped.
-	e.col.profitCache = fresh
-	return res.Campaigns, fresh
-}
-
-func viewOf(c *model.Campaign, cp profit.CampaignProfit) CampaignView {
-	return CampaignView{
-		ID:          c.ID,
-		Samples:     len(c.Samples),
-		Ancillaries: len(c.Ancillaries),
-		Wallets:     c.Wallets,
-		Pools:       c.Pools,
-		XMR:         cp.XMR,
-		USD:         cp.USD,
-		Active:      cp.ActiveAt,
-	}
-}
-
 // Live returns the top n campaigns by earnings (all of them when n <= 0)
 // from the last published snapshot. Lock-free: never blocks on the collector.
 func (e *Engine) Live(n int) []CampaignView {
@@ -701,8 +677,7 @@ func (e *Engine) LiveFiltered(f CampaignFilter) []CampaignView {
 // campaigns appear mid-ingestion. Lock-free: details are built once per
 // publication, so a detail request never stalls ingestion.
 func (e *Engine) CampaignDetail(id int) (CampaignDetail, bool) {
-	d, ok := e.view.Load().Details[id]
-	return d, ok
+	return e.view.Load().Detail(id)
 }
 
 // HasSample reports whether the collector has already recorded an outcome
@@ -852,47 +827,21 @@ func (e *Engine) Timeseries(q TimeseriesQuery) (TimeseriesSnapshot, error) {
 
 // yearStats assembles the data-time yearly breakdown: kept samples per
 // first-seen year from the series store, campaign starts and activity spans
-// from the given partition snapshot — the live equivalent of the paper's
-// yearly evolution tables, bucketed via report.YearBuckets. Called from the
-// view build under e.mu.
-func (e *Engine) yearStats(campaigns []*model.Campaign) []YearStats {
-	newC, active := report.NewYearBuckets(), report.NewYearBuckets()
-	for _, c := range campaigns {
-		newC.Add(c.FirstSeen)
-		if c.FirstSeen.IsZero() || c.LastSeen.Before(c.FirstSeen) {
-			continue
+// from the collector's roll-up over the cached entries — the live equivalent
+// of the paper's yearly evolution tables. Called from the view build under
+// e.mu.
+func (e *Engine) yearStats() []YearStats {
+	samples := e.ts.Years()
+	out := make([]YearStats, 0, len(samples)+len(e.col.years))
+	for _, yc := range samples {
+		out = append(out, YearStats{Year: yc.Year, Samples: yc.Samples})
+	}
+	for year, t := range e.col.years {
+		i, found := slices.BinarySearchFunc(out, year, func(ys YearStats, y int) int { return cmp.Compare(ys.Year, y) })
+		if !found {
+			out = slices.Insert(out, i, YearStats{Year: year})
 		}
-		for y := c.FirstSeen.Year(); y <= c.LastSeen.Year(); y++ {
-			active.AddN(y, 1)
-		}
-	}
-	samples := map[int]int64{}
-	for _, yc := range e.ts.Years() {
-		samples[yc.Year] = yc.Samples
-	}
-	yearSet := map[int]bool{}
-	for y := range samples {
-		yearSet[y] = true
-	}
-	for _, y := range newC.Years() {
-		yearSet[y] = true
-	}
-	for _, y := range active.Years() {
-		yearSet[y] = true
-	}
-	years := make([]int, 0, len(yearSet))
-	for y := range yearSet {
-		years = append(years, y)
-	}
-	sort.Ints(years)
-	out := make([]YearStats, 0, len(years))
-	for _, y := range years {
-		out = append(out, YearStats{
-			Year:            y,
-			Samples:         samples[y],
-			NewCampaigns:    newC.Count(y),
-			ActiveCampaigns: active.Count(y),
-		})
+		out[i].NewCampaigns, out[i].ActiveCampaigns = t.started, t.active
 	}
 	return out
 }
@@ -919,17 +868,13 @@ func (e *Engine) CampaignTimeline(id int, q TimeseriesQuery) (TimeseriesSnapshot
 		}
 		metrics = []string{q.Metric}
 	}
-	v := e.view.Load()
-	if _, ok := v.Details[id]; !ok {
+	key, ok := e.view.Load().TimelineKey(id)
+	if !ok {
 		return TimeseriesSnapshot{}, false, nil
 	}
-	key, hasKey := v.TimelineKeys[id]
 	snap := TimeseriesSnapshot{ResolutionSeconds: int64(q.Resolution / time.Second), From: q.From}
 	for _, metric := range metrics {
-		var buckets []timeseries.Bucket
-		if hasKey {
-			buckets, _ = e.ts.TimelineBuckets(key, metric, q.Resolution, q.From, q.To)
-		}
+		buckets, _ := e.ts.TimelineBuckets(key, metric, q.Resolution, q.From, q.To)
 		snap.Series = append(snap.Series, MetricSeries{Name: metric, Buckets: buckets})
 	}
 	return snap, true, nil

@@ -109,11 +109,37 @@ func TestStreamWithMetricsMatchesBatch(t *testing.T) {
 		fmt.Sprintf("stream_samples_analyzed_total %d", len(hashes)),
 		"stream_collector_lock_hold_seconds_count",
 		"stream_shards 8",
+		// One observation per publication: the histogram count is the epoch.
+		fmt.Sprintf("stream_view_publish_seconds_count %d", eng.CurrentView().Epoch),
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Every campaign of every published view was either re-derived or reused,
+	// and over a whole ingestion most are reused.
+	rebuilt := seriesValue(t, exposition, `stream_view_campaigns_total{result="rebuilt"}`)
+	reused := seriesValue(t, exposition, `stream_view_campaigns_total{result="reused"}`)
+	if rebuilt < float64(len(streamed.Campaigns)) || reused <= rebuilt {
+		t.Errorf("stream_view_campaigns_total: %v rebuilt, %v reused over %d campaigns", rebuilt, reused, len(streamed.Campaigns))
+	}
+}
+
+// seriesValue returns the value of one exactly named series of a text
+// exposition.
+func seriesValue(t *testing.T, exposition, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("exposition has no series %s", series)
+	return 0
 }
 
 // parseStageCounts extracts stream_stage_duration_seconds_count{stage=...}

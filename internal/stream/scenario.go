@@ -3,9 +3,6 @@ package stream
 import (
 	"errors"
 	"sort"
-
-	"cryptomining/internal/model"
-	"cryptomining/internal/profit"
 )
 
 // This file is the engine's seam for shadow scenario replays
@@ -88,12 +85,10 @@ func (e *Engine) RepriceScenarioWallets(wallets []string) error {
 		e.col.wallets.Invalidate(w)
 		act := e.col.collect(w)
 		e.col.applyProbedActivity(w, act)
+		e.col.markWalletStale(w)
 		changed = true
 	}
 	if changed {
-		if len(e.col.profitCache) > 0 {
-			e.col.profitCache = map[*model.Campaign]profit.CampaignProfit{}
-		}
 		e.publishViewLocked()
 	}
 	return nil

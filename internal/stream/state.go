@@ -21,8 +21,8 @@ import (
 //
 // Like campaign.AggregatorState, every map is flattened into a sorted slice,
 // so the same state always serializes to the same bytes regardless of map
-// iteration order. Derived data (per-campaign profit cache, by-wallet index)
-// is deliberately not captured; RestoreState rebuilds it.
+// iteration order. Derived data (the read tier's entry cache, the by-wallet
+// index) is deliberately not captured; RestoreState rebuilds it.
 //
 // A snapshot taken mid-ingestion covers exactly the samples the collector
 // has absorbed. Samples still traveling the stage chains are NOT in the
@@ -41,7 +41,8 @@ type EngineState struct {
 	// lowercase hash).
 	Outcomes []OutcomeState
 	// Pending holds the retained bodies and AV labels of samples that may
-	// still enter the dataset, sorted by key.
+	// still enter the dataset, sorted by key. A kept sample's body is not
+	// retained anywhere: the aggregator resolves what it needs from it on Add.
 	Pending []PendingState
 	// Illicit is the sorted set of wallets seen in confirmed malware.
 	Illicit []string
@@ -341,7 +342,9 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	}
 	// Publish the restored state to the read tier, so clients of a freshly
 	// restored daemon see the checkpoint's campaigns before the WAL tail
-	// replays (each replayed batch then republishes as usual).
+	// replays (each replayed batch then republishes as usual). The aggregator
+	// reports every restored component as changed, so this publication also
+	// rebuilds the whole entry cache.
 	e.publishViewLocked()
 	return nil
 }
