@@ -1,13 +1,12 @@
 // Package cryptomining's benchmark harness regenerates every table and figure
-// of the paper's evaluation section (see DESIGN.md for the per-experiment
-// index).
+// of the paper's evaluation section (core.Artefacts; see DESIGN.md for the
+// per-experiment index) and runs the ablations.
 //
 // Each benchmark prints its table/series once (so that `go test -bench=.`
 // leaves a textual artefact of the regenerated result) and then measures the
 // cost of rebuilding the dataset from the pipeline results. The pipeline
 // itself runs once per benchmark binary over a deterministic synthetic
-// ecosystem; the heavier end-to-end and ablation benchmarks rebuild it with
-// smaller configurations.
+// ecosystem; the end-to-end and ablation benchmarks rebuild it.
 package cryptomining
 
 import (
@@ -15,17 +14,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cryptomining/internal/campaign"
 	"cryptomining/internal/core"
 	"cryptomining/internal/ecosim"
-	"cryptomining/internal/forums"
-	"cryptomining/internal/intervention"
 	"cryptomining/internal/model"
-	"cryptomining/internal/pow"
-	"cryptomining/internal/profit"
-	"cryptomining/internal/report"
 )
 
 var (
@@ -59,297 +52,21 @@ func printResult(b *testing.B, content string) {
 	fmt.Printf("\n===== %s =====\n%s\n", b.Name(), content)
 }
 
-// BenchmarkFigure1ForumTrends regenerates Figure 1: the share of underground
-// forum mining threads per currency per year.
-func BenchmarkFigure1ForumTrends(b *testing.B) {
-	threads := forums.Generate(forums.DefaultGeneratorConfig())
-	var trend *forums.Trend
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trend = forums.ComputeTrend(threads)
-	}
-	b.StopTimer()
-	var sb strings.Builder
-	for _, c := range forums.TrackedCurrencies() {
-		s := &report.Series{Name: string(c)}
-		for _, y := range trend.Years() {
-			s.Add(fmt.Sprintf("%d", y), trend.Share(y, c))
-		}
-		sb.WriteString(s.String())
-	}
-	sb.WriteString(fmt.Sprintf("dominant 2012: %s, dominant 2018: %s\n",
-		trend.DominantCurrency(2012), trend.DominantCurrency(2018)))
-	printResult(b, sb.String())
-}
-
-// BenchmarkTable3DatasetSummary regenerates Table III.
-func BenchmarkTable3DatasetSummary(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.DatasetSummary(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable4CurrencyBreakdown regenerates Table IV (both halves).
-func BenchmarkTable4CurrencyBreakdown(b *testing.B) {
-	_, res := fixture(b)
-	var left, right *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		left = core.CurrencyBreakdown(res)
-		right = core.SamplesPerYear(res)
-	}
-	b.StopTimer()
-	printResult(b, left.String()+"\n"+right.String())
-}
-
-// BenchmarkTable5MalwareReuse regenerates Table V.
-func BenchmarkTable5MalwareReuse(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.MalwareReuse(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable6HostingDomains regenerates Table VI / XIII.
-func BenchmarkTable6HostingDomains(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.HostingDomains(res, 20)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkFigure4CampaignCDF regenerates Figure 4.
-func BenchmarkFigure4CampaignCDF(b *testing.B) {
-	_, res := fixture(b)
-	var samples, wallets, earnings []profit.CDFPoint
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		samples, wallets, earnings = core.CampaignCDFs(res)
-	}
-	b.StopTimer()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "campaigns: %d (samples CDF), %d (wallets CDF), %d (earnings CDF)\n",
-		len(samples), len(wallets), len(earnings))
-	fmt.Fprintf(&sb, "fraction of campaigns earning <= 100 XMR: %.3f (paper: ~0.99)\n",
-		profit.FractionAtOrBelow(earnings, 100))
-	fmt.Fprintf(&sb, "fraction of campaigns with <= 10 samples:  %.3f\n",
-		profit.FractionAtOrBelow(samples, 10))
-	fmt.Fprintf(&sb, "fraction of campaigns with 1 wallet:       %.3f\n",
-		profit.FractionAtOrBelow(wallets, 1))
-	printResult(b, sb.String())
-}
-
-// BenchmarkFigure5PoolsPerCampaign regenerates Figure 5.
-func BenchmarkFigure5PoolsPerCampaign(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.PoolsPerCampaign(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable7PoolPopularity regenerates Table VII.
-func BenchmarkTable7PoolPopularity(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.PoolPopularityTable(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable8TopCampaigns regenerates Table VIII.
-func BenchmarkTable8TopCampaigns(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.TopCampaignsTable(res, 10)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable9MiningTools regenerates Table IX.
-func BenchmarkTable9MiningTools(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.MiningToolsTable(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable10Packers regenerates Table X.
-func BenchmarkTable10Packers(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.PackersTable(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable11InfrastructureByProfit regenerates Table XI.
-func BenchmarkTable11InfrastructureByProfit(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.InfrastructureByProfit(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable12RelatedWork regenerates Table XII.
-func BenchmarkTable12RelatedWork(b *testing.B) {
-	_, res := fixture(b)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.RelatedWorkTable(res)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable14TopWallets regenerates Table XIV.
-func BenchmarkTable14TopWallets(b *testing.B) {
+// BenchmarkArtefacts regenerates every table and figure of the evaluation:
+// one sub-benchmark per entry of core.Artefacts, the list cmd/paperrepro
+// writes and internal/core's TestArtefactsGolden pins byte for byte.
+func BenchmarkArtefacts(b *testing.B) {
 	u, res := fixture(b)
-	collector := profit.NewCollector(u.Pools, nil, u.Config.QueryTime)
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.TopWalletsTable(res, collector, 10)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkTable15EmailsPerPool regenerates Table XV.
-func BenchmarkTable15EmailsPerPool(b *testing.B) {
-	u, res := fixture(b)
-	poolFor := func(endpoint string) string {
-		host := endpoint
-		if i := strings.LastIndex(host, ":"); i > 0 {
-			host = host[:i]
-		}
-		if p, ok := u.Pools.PoolForDomain(host); ok {
-			return p.Name
-		}
-		return ""
-	}
-	var tbl *report.Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = core.EmailsPerPool(res, poolFor)
-	}
-	b.StopTimer()
-	printResult(b, tbl.String())
-}
-
-// BenchmarkFigure7PaymentTimeline regenerates Figures 6c/7/8: the per-wallet
-// payment timeline of the Freebuf-like case-study campaign around the PoW
-// changes and the wallet bans.
-func BenchmarkFigure7PaymentTimeline(b *testing.B) {
-	_, res := fixture(b)
-	var target *model.Campaign
-	for _, c := range res.Campaigns {
-		for _, gt := range c.GroundTruthIDs {
-			if gt == ecosim.FreebufCampaignID && (target == nil || c.XMRMined > target.XMRMined) {
-				target = c
+	for _, a := range core.Artefacts(u, res) {
+		b.Run(a.Name, func(b *testing.B) {
+			var out string
+			for i := 0; i < b.N; i++ {
+				out = a.Render()
 			}
-		}
-	}
-	if target == nil {
-		b.Fatal("freebuf-like campaign not recovered")
-	}
-	var tl core.PaymentTimeline
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl = core.BuildPaymentTimeline(res, target.ID, pow.ForkDates(pow.MoneroEpochs))
-	}
-	b.StopTimer()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "campaign C#%d, %d wallets with payments, PoW changes at %v\n",
-		target.ID, len(tl.Wallets), tl.ForkDates)
-	for i, w := range tl.Wallets {
-		if i >= 3 {
-			fmt.Fprintf(&sb, "... (%d more wallets)\n", len(tl.Wallets)-3)
-			break
-		}
-		sb.WriteString(tl.Series(w).String())
-	}
-	printResult(b, sb.String())
-}
-
-// BenchmarkCirculatingShareEstimate regenerates the §IV-B headline estimate:
-// the share of circulating Monero attributed to malware.
-func BenchmarkCirculatingShareEstimate(b *testing.B) {
-	u, res := fixture(b)
-	var share float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		share = profit.CirculationShare(res.TotalXMR, u.Network, u.Config.QueryTime)
-	}
-	b.StopTimer()
-	printResult(b, fmt.Sprintf("total %s XMR (%s USD) = %.2f%% of circulating XMR at %s (paper: 4.37%%, 741K XMR, 58M USD)\n",
-		model.FormatXMR(res.TotalXMR), model.FormatUSD(res.TotalUSD), share*100,
-		u.Config.QueryTime.Format("2006-01-02")))
-}
-
-// BenchmarkForkDieOffs regenerates the §VI die-off measurement: the share of
-// campaigns that stop receiving payments at each Monero PoW change (the paper
-// reports ~72%, ~89% and ~96% for the three forks).
-func BenchmarkForkDieOffs(b *testing.B) {
-	_, res := fixture(b)
-	var campaignPayments []intervention.CampaignPayments
-	for _, cp := range res.Profits {
-		var times []time.Time
-		for _, p := range cp.Payments {
-			times = append(times, p.Timestamp)
-		}
-		campaignPayments = append(campaignPayments, intervention.CampaignPayments{
-			CampaignID: cp.Campaign.ID, Payments: times,
+			b.StopTimer()
+			printResult(b, out)
 		})
 	}
-	forks := pow.ForkDates(pow.MoneroEpochs)
-	var dieoffs []intervention.ForkDieOff
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dieoffs = intervention.MeasureForkDieOffs(campaignPayments, forks, 120*24*time.Hour)
-	}
-	b.StopTimer()
-	var sb strings.Builder
-	for _, d := range dieoffs {
-		fmt.Fprintf(&sb, "fork %s: %d campaigns active before, %d after, %.0f%% ceased\n",
-			d.Fork.Format("2006-01-02"), d.ActiveBefore, d.ActiveAfter, d.CeasedPercent)
-	}
-	sb.WriteString("(paper: ~72%, ~89%, ~96% ceased)\n")
-	printResult(b, sb.String())
 }
 
 // BenchmarkPipelineEndToEnd measures the full pipeline (sanity checks, both

@@ -1,7 +1,8 @@
 // Command paperrepro regenerates every table and figure of the paper's
-// evaluation from a synthetic ecosystem and writes them as text files into an
-// output directory (one file per experiment), plus a combined report on
-// stdout. DESIGN.md indexes the experiments and the benchmarks backing them.
+// evaluation from a synthetic ecosystem (core.Artefacts) and writes them as
+// text files into an output directory (one file per experiment), plus a
+// combined report and the ground-truth validation of the aggregation on
+// stdout.
 //
 // Usage:
 //
@@ -14,15 +15,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"cryptomining/internal/core"
 	"cryptomining/internal/ecosim"
-	"cryptomining/internal/forums"
-	"cryptomining/internal/model"
-	"cryptomining/internal/pow"
-	"cryptomining/internal/profit"
-	"cryptomining/internal/report"
 )
 
 func main() {
@@ -46,100 +41,17 @@ func main() {
 		log.Fatalf("pipeline: %v", err)
 	}
 
-	write := func(name, content string) {
-		path := filepath.Join(*out, name)
+	for _, a := range core.Artefacts(u, res) {
+		content := a.Render()
+		path := filepath.Join(*out, a.File)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			log.Fatalf("write %s: %v", path, err)
 		}
 		fmt.Println(content)
 	}
 
-	// Figure 1 — underground forum trends.
-	trend := forums.ComputeTrend(forums.Generate(forums.DefaultGeneratorConfig()))
-	var fig1 strings.Builder
-	fig1.WriteString("Figure 1 — forum threads per currency per year (share of mining threads)\n")
-	for _, c := range forums.TrackedCurrencies() {
-		s := &report.Series{Name: string(c)}
-		for _, y := range trend.Years() {
-			s.Add(fmt.Sprintf("%d", y), trend.Share(y, c))
-		}
-		fig1.WriteString(s.String())
-		fig1.WriteString("\n")
-	}
-	write("figure1_forum_trends.txt", fig1.String())
-
-	write("table3_dataset.txt", core.DatasetSummary(res).String())
-	write("table4_currencies.txt", core.CurrencyBreakdown(res).String()+"\n"+core.SamplesPerYear(res).String())
-	write("table5_malware_reuse.txt", core.MalwareReuse(res).String())
-	write("table6_hosting_domains.txt", core.HostingDomains(res, 20).String())
-
-	// Figure 4 — CDFs.
-	samplesCDF, walletsCDF, earningsCDF := core.CampaignCDFs(res)
-	var fig4 strings.Builder
-	fig4.WriteString("Figure 4 — CDFs per campaign\n")
-	fig4.WriteString(cdfSummary("samples", samplesCDF))
-	fig4.WriteString(cdfSummary("wallets", walletsCDF))
-	fig4.WriteString(cdfSummary("earnings (XMR)", earningsCDF))
-	write("figure4_cdfs.txt", fig4.String())
-
-	write("figure5_pools_per_campaign.txt", core.PoolsPerCampaign(res).String())
-	write("table7_pool_popularity.txt", core.PoolPopularityTable(res).String())
-	write("table8_top_campaigns.txt", core.TopCampaignsTable(res, 10).String())
-	write("table9_mining_tools.txt", core.MiningToolsTable(res).String())
-	write("table10_packers.txt", core.PackersTable(res).String())
-	write("table11_infrastructure.txt", core.InfrastructureByProfit(res).String())
-	write("table12_related_work.txt", core.RelatedWorkTable(res).String())
-
-	collector := profit.NewCollector(u.Pools, nil, u.Config.QueryTime)
-	write("table14_top_wallets.txt", core.TopWalletsTable(res, collector, 10).String())
-
-	poolFor := func(endpoint string) string {
-		host := endpoint
-		if i := strings.LastIndex(host, ":"); i > 0 {
-			host = host[:i]
-		}
-		if p, ok := u.Pools.PoolForDomain(host); ok {
-			return p.Name
-		}
-		return ""
-	}
-	write("table15_emails_per_pool.txt", core.EmailsPerPool(res, poolFor).String())
-
-	// Figures 6c/7/8 — case study payment timelines.
-	var caseStudy *model.Campaign
-	for _, c := range res.Campaigns {
-		for _, gt := range c.GroundTruthIDs {
-			if gt == ecosim.FreebufCampaignID && (caseStudy == nil || c.XMRMined > caseStudy.XMRMined) {
-				caseStudy = c
-			}
-		}
-	}
-	if caseStudy != nil {
-		tl := core.BuildPaymentTimeline(res, caseStudy.ID, pow.ForkDates(pow.MoneroEpochs))
-		var fig7 strings.Builder
-		fig7.WriteString(fmt.Sprintf("Figures 6c/7/8 — payment timeline of the Freebuf-like campaign (C#%d)\n", caseStudy.ID))
-		fig7.WriteString(fmt.Sprintf("PoW changes: %v\n\n", tl.ForkDates))
-		for _, w := range tl.Wallets {
-			fig7.WriteString(tl.Series(w).String())
-			fig7.WriteString("\n")
-		}
-		write("figure7_payment_timeline.txt", fig7.String())
-	}
-
-	// §IV-B headline: share of circulating Monero.
-	headline := fmt.Sprintf("Headline estimate (§IV-B): %s XMR (%s USD) mined by malware = %.2f%% of circulating XMR at %s\n",
-		model.FormatXMR(res.TotalXMR), model.FormatUSD(res.TotalUSD),
-		res.CirculationShare*100, res.QueryTime.Format("2006-01-02"))
-	write("headline_circulation_share.txt", headline)
-
+	v := core.Validate(res.Campaigns)
+	fmt.Printf("Aggregation validation vs ground truth: %d campaigns, purity %.1f%%, %d merged, %d/%d ground-truth campaigns split\n",
+		v.CampaignsWithSamples, v.Purity()*100, v.MergedCampaigns, v.GroundTruthSplit, v.GroundTruthTotal)
 	log.Printf("wrote experiment outputs to %s", *out)
-}
-
-func cdfSummary(name string, cdf []profit.CDFPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d campaigns\n", name, len(cdf))
-	for _, q := range []float64{1, 10, 100, 1000, 10000} {
-		fmt.Fprintf(&b, "  fraction <= %-7.0f : %.3f\n", q, profit.FractionAtOrBelow(cdf, q))
-	}
-	return b.String()
 }

@@ -28,8 +28,8 @@
 // live poolserver statistics APIs over the network, rate-limited per pool
 // (-probe-rate) and refreshed by TTL (-probe-interval).
 //
-// Endpoints (see internal/api for the full reference; legacy unversioned
-// aliases /stats /campaigns /results /checkpoint /healthz stay up):
+// Endpoints (see internal/api for the full reference; there is no
+// unversioned surface):
 //
 //	GET  /api/v1/stats          live engine counters
 //	GET  /api/v1/campaigns      paginated + filtered campaign listing
@@ -114,7 +114,6 @@ func main() {
 		queue          = flag.Int("queue", 64, "bounded channel depth")
 		rate           = flag.Float64("rate", 0, "replay rate in samples/sec (0 = unthrottled)")
 		httpAddr       = flag.String("http", "127.0.0.1:8090", "HTTP API listen address")
-		topN           = flag.Int("top", 10, "campaigns returned by legacy /campaigns by default")
 		dataDir        = flag.String("data-dir", "", "durable state directory: WAL + checkpoints, auto-resume on boot (empty = in-memory only)")
 		ckptEvery      = flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints)")
 		noFeed         = flag.Bool("no-feed", false, "skip the local feed replay; ingest only via POST /api/v1/samples")
@@ -167,7 +166,6 @@ func main() {
 		shards:          *shards,
 		queue:           *queue,
 		rate:            *rate,
-		topN:            *topN,
 		ckptEvery:       *ckptEvery,
 		probeInterval:   *probeInterval,
 		probeRate:       *probeRate,
@@ -262,7 +260,7 @@ func main() {
 		// hash, so the skip can never overshoot what actually survived.
 		skip = feedProgress(eng, u, *seed)
 		if info.Resumed {
-			// The message keeps the scripts/resume_smoke.sh grep contract:
+			// The message keeps the resume smoke's (cmd/smoke) match contract:
 			// "resumed from <...>, <N> WAL entries replayed".
 			logd.Info(fmt.Sprintf("resumed from %s, %d WAL entries replayed", *dataDir, info.Replayed),
 				"snapshot_seq", info.SnapshotSeq,
@@ -343,15 +341,14 @@ func main() {
 	}
 
 	apiCfg := api.Config{
-		Engine:      eng,
-		Submit:      submit,
-		DefaultTopN: *topN,
-		Probe:       prober,
-		Scenarios:   scenarios,
-		Logger:      logger,
-		Metrics:     reg,
-		RateLimit:   *apiRate,
-		RateBurst:   *apiBurst,
+		Engine:    eng,
+		Submit:    submit,
+		Probe:     prober,
+		Scenarios: scenarios,
+		Logger:    logger,
+		Metrics:   reg,
+		RateLimit: *apiRate,
+		RateBurst: *apiBurst,
 		Results: func() *stream.Results {
 			mu.Lock()
 			defer mu.Unlock()
@@ -403,7 +400,7 @@ func main() {
 	}()
 	logd.Info("service API up",
 		"addr", "http://"+ln.Addr().String(),
-		"surface", "/api/v1/{stats,campaigns,results,checkpoint,samples,events,probe,finish,healthz} + legacy aliases + /metrics")
+		"surface", "/api/v1/{stats,campaigns,timeseries,results,checkpoint,samples,events,probe,finish,scenarios,healthz} + /metrics")
 	startAuxListeners(logd, fatal, reg, *metricsAddr, *debugAddr)
 
 	drained := make(chan struct{})
@@ -538,7 +535,6 @@ type flagValues struct {
 	shards          int
 	queue           int
 	rate            float64
-	topN            int
 	ckptEvery       time.Duration
 	probeInterval   time.Duration
 	probeRate       float64
@@ -569,9 +565,6 @@ func validateFlags(v flagValues) ([]timeseries.LevelSpec, error) {
 	}
 	if v.rate < 0 {
 		return nil, fmt.Errorf("-rate %v: must be >= 0 (0 = unthrottled)", v.rate)
-	}
-	if v.topN < 0 {
-		return nil, fmt.Errorf("-top %d: must be >= 0", v.topN)
 	}
 	if v.ckptEvery < 0 {
 		return nil, fmt.Errorf("-checkpoint-every %v: must be >= 0 (0 = periodic checkpoints off)", v.ckptEvery)

@@ -13,7 +13,6 @@ import (
 func validValues() flagValues {
 	return flagValues{
 		scale:           0.25,
-		topN:            10,
 		ckptEvery:       5 * time.Second,
 		seriesRetention: defaultSeriesRetention,
 	}
@@ -33,7 +32,7 @@ func TestValidateFlags(t *testing.T) {
 		{"zero sentinels stay valid", func(v *flagValues) {
 			v.shards, v.queue, v.rate = 0, 0, 0
 			v.ckptEvery, v.probeInterval, v.probeRate = 0, 0, 0
-			v.probeWorkers, v.topN = 0, 0
+			v.probeWorkers = 0
 		}, ""},
 
 		{"negative probe-rate", func(v *flagValues) { v.probeRate = -1 }, "-probe-rate"},
@@ -43,7 +42,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative rate", func(v *flagValues) { v.rate = -10 }, "-rate"},
 		{"negative queue", func(v *flagValues) { v.queue = -1 }, "-queue"},
 		{"negative shards", func(v *flagValues) { v.shards = -4 }, "-shards"},
-		{"negative top", func(v *flagValues) { v.topN = -1 }, "-top"},
 		{"zero scale", func(v *flagValues) { v.scale = 0 }, "-scale"},
 		{"negative scale", func(v *flagValues) { v.scale = -0.5 }, "-scale"},
 		{"NaN scale", func(v *flagValues) { v.scale = math.NaN() }, "-scale"},

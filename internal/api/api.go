@@ -1,9 +1,8 @@
 // Package api is the versioned HTTP service layer of the streaming daemon:
-// a typed REST+streaming surface under /api/v1 over the ingestion engine,
-// plus thin aliases for the historical unversioned endpoints.
+// a typed REST+streaming surface under /api/v1 over the ingestion engine.
 //
 //	GET  /api/v1/stats          live engine counters
-//	GET  /api/v1/campaigns      paginated campaign listing (limit/offset,
+//	GET  /api/v1/campaigns      paginated campaign listing (limit/cursor,
 //	                            filters: pool, wallet, min_xmr)
 //	GET  /api/v1/campaigns/{id} full campaign detail
 //	GET  /api/v1/campaigns/{id}/timeline
@@ -45,18 +44,13 @@
 // the uniform envelope {"error":{"code","message"}}. Handlers are wired
 // through shared middleware: request logging, panic recovery, and method
 // guards that answer 405 with an Allow header; each individual sample
-// submission is bounded by RequestTimeout (503 backpressure on expiry).
-//
-// Legacy aliases (/stats, /campaigns?n=, /results, /checkpoint, /healthz)
-// keep their historical shapes but share the v1 internals — including the
-// method guards and the 503+Retry-After pending-results behaviour.
+// submission is bounded by requestTimeout (503 backpressure on expiry).
 //
 // The read tier serves exclusively from the engine's published snapshot
 // (stream.View): no GET acquires the collector mutex, the snapshot epoch is
 // the strong ETag (If-None-Match revalidation answers 304), campaign pages
-// paginate by opaque cursor (?cursor=, with ?offset= kept as a deprecated
-// alias), and an optional per-client token bucket throttles reads (429 +
-// Retry-After).
+// paginate by opaque cursor (?cursor=; a raw ?offset= answers 400), and an
+// optional per-client token bucket throttles reads (429 + Retry-After).
 package api
 
 import (
@@ -71,6 +65,14 @@ import (
 	"cryptomining/internal/scenario"
 	"cryptomining/internal/stream"
 	"cryptomining/pkg/apiv1"
+)
+
+const (
+	// requestTimeout bounds each individual sample submission into the
+	// engine; expiry surfaces as 503 backpressure.
+	requestTimeout = 30 * time.Second
+	// retryAfter is the Retry-After hint returned with pending results.
+	retryAfter = time.Second
 )
 
 // Config wires a Server to the engine and the daemon's optional durability
@@ -100,13 +102,6 @@ type Config struct {
 	// GET /api/v1/scenarios/{id}, GET /api/v1/scenarios/{id}/delta); nil
 	// answers 409 scenario_disabled.
 	Scenarios *scenario.Manager
-	// DefaultTopN is the legacy /campaigns default page size (default 10).
-	DefaultTopN int
-	// RequestTimeout bounds each individual sample submission into the
-	// engine (default 30s); expiry surfaces as 503 backpressure.
-	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with pending results (default 1s).
-	RetryAfter time.Duration
 	// EventBuffer is the per-subscriber event channel capacity (default 1024).
 	EventBuffer int
 	// RateLimit, when positive, throttles GET/HEAD requests per client
@@ -140,15 +135,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Submit == nil && cfg.Engine != nil {
 		cfg.Submit = cfg.Engine.Submit
-	}
-	if cfg.DefaultTopN <= 0 {
-		cfg.DefaultTopN = 10
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 1024
@@ -184,9 +170,7 @@ func New(cfg Config) *Server {
 // Handler returns the fully middleware-wrapped root handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// routes builds the method-guarded route table. The v1 handlers and the
-// legacy aliases share implementations; only parameter conventions and
-// response shapes differ where the legacy surface promised them.
+// routes builds the method-guarded route table.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 
@@ -201,7 +185,7 @@ func (s *Server) routes() http.Handler {
 	handle("/api/v1/results", s.handleResults, http.MethodGet)
 	handle("/api/v1/checkpoint", s.handleCheckpoint, http.MethodPost)
 	handle("/api/v1/samples", s.handleSamples, http.MethodPost)
-	handle("/api/v1/healthz", s.handleHealthV1, http.MethodGet)
+	handle("/api/v1/healthz", s.handleHealth, http.MethodGet)
 	handle("/api/v1/events", s.handleEvents, http.MethodGet)
 	handle("/api/v1/probe", s.handleProbeStats, http.MethodGet)
 	handle("/api/v1/probe/refresh", s.handleProbeRefresh, http.MethodPost)
@@ -209,13 +193,6 @@ func (s *Server) routes() http.Handler {
 	handle("/api/v1/scenarios", s.handleScenarios, http.MethodGet, http.MethodPost)
 	handle("/api/v1/scenarios/{id}", s.handleScenarioStatus, http.MethodGet)
 	handle("/api/v1/scenarios/{id}/delta", s.handleScenarioDelta, http.MethodGet)
-
-	// Legacy aliases.
-	handle("/stats", s.handleStats, http.MethodGet)
-	handle("/campaigns", s.handleLegacyCampaigns, http.MethodGet)
-	handle("/results", s.handleResults, http.MethodGet)
-	handle("/checkpoint", s.handleCheckpoint, http.MethodPost)
-	handle("/healthz", s.handleHealthLegacy, http.MethodGet)
 
 	// The exposition endpoint itself stays outside the instrumented route
 	// set: scrapes should not inflate the request metrics they collect.
@@ -235,7 +212,7 @@ func (s *Server) routes() http.Handler {
 // (events, bulk samples) legitimately outlive any fixed bound, and the
 // snapshot reads complete in-memory; the one operation that can stall —
 // submitting into a backpressured engine — is individually bounded by
-// RequestTimeout in submitWire, surfacing as 503.
+// requestTimeout in submitWire, surfacing as 503.
 // The rate limiter sits inside the instrumentation (throttled requests are
 // still counted, as 429s) and outside the method guard (a throttled client
 // learns about the limit before anything else).

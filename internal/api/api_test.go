@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cryptomining/internal/api"
 	"cryptomining/internal/core"
@@ -103,11 +102,8 @@ func TestMethodGuards(t *testing.T) {
 		{http.MethodDelete, "/api/v1/campaigns", "GET, HEAD"},
 		{http.MethodGet, "/api/v1/samples", "POST"},
 		{http.MethodGet, "/api/v1/checkpoint", "POST"},
-		{http.MethodPut, "/stats", "GET, HEAD"},
-		{http.MethodPost, "/campaigns", "GET, HEAD"},
-		{http.MethodPost, "/results", "GET, HEAD"},
-		{http.MethodGet, "/checkpoint", "POST"},
-		{http.MethodPost, "/healthz", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/results", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/healthz", "GET, HEAD"},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, d.ts.URL+tc.path, nil)
@@ -128,92 +124,59 @@ func TestMethodGuards(t *testing.T) {
 }
 
 func TestResultsPending503(t *testing.T) {
-	d := newTestDaemon(t, api.Config{RetryAfter: 3 * time.Second})
-	for _, path := range []string{"/api/v1/results", "/results"} {
-		resp, err := http.Get(d.ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: status %d, want 503", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Retry-After"); got != "3" {
-			t.Fatalf("%s: Retry-After %q, want \"3\"", path, got)
-		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeResultsPending {
-			t.Fatalf("%s: code %q", path, env.Error.Code)
-		}
+	d := newTestDaemon(t, api.Config{})
+	resp, err := http.Get(d.ts.URL + "/api/v1/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", got)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeResultsPending {
+		t.Fatalf("code %q", env.Error.Code)
 	}
 }
 
 func TestCheckpointDisabled409(t *testing.T) {
 	d := newTestDaemon(t, api.Config{})
-	for _, path := range []string{"/api/v1/checkpoint", "/checkpoint"} {
-		resp, err := http.Post(d.ts.URL+path, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("%s: status %d, want 409", path, resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodePersistenceDisabled {
-			t.Fatalf("%s: code %q", path, env.Error.Code)
-		}
+	resp, err := http.Post(d.ts.URL+"/api/v1/checkpoint", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("status %d, want 409", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodePersistenceDisabled {
+		t.Fatalf("code %q", env.Error.Code)
 	}
 }
 
-func TestLegacyEndpointsAnswer(t *testing.T) {
-	d := newTestDaemon(t, api.Config{DefaultTopN: 3})
-	d.ingestAll(t)
-	d.finish(t)
-
-	// /healthz keeps its historical plain body.
-	resp, err := http.Get(d.ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok\n" {
-		t.Fatalf("/healthz body %q", body)
-	}
-
-	// /stats decodes into the wire stats.
-	var st apiv1.Stats
-	getJSON(t, d.ts.URL+"/stats", &st)
-	if st.Analyzed != int64(d.u.Corpus.Len()) {
-		t.Fatalf("/stats analyzed %d, want %d", st.Analyzed, d.u.Corpus.Len())
-	}
-
-	// /campaigns keeps the bare-array shape and the ?n= semantics.
-	var views []apiv1.Campaign
-	getJSON(t, d.ts.URL+"/campaigns", &views)
-	if len(views) != 3 {
-		t.Fatalf("/campaigns default: %d views, want top-3", len(views))
-	}
-	getJSON(t, d.ts.URL+"/campaigns?n=-5", &views)
-	if len(views) != 3 {
-		t.Fatalf("/campaigns?n=-5: %d views, want default 3", len(views))
-	}
-	var all []apiv1.Campaign
-	getJSON(t, d.ts.URL+"/campaigns?n=0", &all)
-	if len(all) <= 3 {
-		t.Fatalf("/campaigns?n=0 returned %d views", len(all))
-	}
-	resp, err = http.Get(d.ts.URL + "/campaigns?n=zzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/campaigns?n=zzz: status %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
-
-	// /results serves the summary after drain.
-	var res apiv1.Results
-	getJSON(t, d.ts.URL+"/results", &res)
-	if res.Samples != d.u.Corpus.Len() {
-		t.Fatalf("/results samples %d, want %d", res.Samples, d.u.Corpus.Len())
+// TestUnversionedRoutesAre404 pins that the historical unversioned aliases
+// are gone: each answers the uniform 404 envelope, whatever the method.
+func TestUnversionedRoutesAre404(t *testing.T) {
+	d := newTestDaemon(t, api.Config{})
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/campaigns"},
+		{http.MethodGet, "/campaigns?n=3"},
+		{http.MethodGet, "/results"},
+		{http.MethodPost, "/checkpoint"},
+		{http.MethodGet, "/healthz"},
+	} {
+		req, _ := http.NewRequest(tc.method, d.ts.URL+tc.path, nil)
+		resp, err := d.ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeNotFound {
+			t.Fatalf("%s %s: code %q", tc.method, tc.path, env.Error.Code)
+		}
 	}
 }
 
@@ -362,12 +325,24 @@ func TestCampaignDetailAndPagination(t *testing.T) {
 	decodeEnvelope(t, resp)
 
 	// Bad query parameters.
-	for _, q := range []string{"limit=-1", "offset=-2", "limit=x", "min_xmr=abc", "min_xmr=-1"} {
+	for _, q := range []string{"limit=-1", "limit=x", "min_xmr=abc", "min_xmr=-1", "cursor=nope"} {
 		resp, _ := http.Get(d.ts.URL + "/api/v1/campaigns?" + q)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("?%s: status %d, want 400", q, resp.StatusCode)
 		}
 		decodeEnvelope(t, resp)
+	}
+
+	// A raw offset is refused, and the message names its replacement: a
+	// silently ignored offset would serve an old client page one for ever.
+	for _, q := range []string{"offset=2", "offset=0", "offset=", "limit=2&offset=2"} {
+		resp, _ := http.Get(d.ts.URL + "/api/v1/campaigns?" + q)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("?%s: status %d, want 400", q, resp.StatusCode)
+		}
+		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeBadRequest || !strings.Contains(env.Error.Message, "cursor") {
+			t.Fatalf("?%s: envelope %+v does not name cursor", q, env.Error)
+		}
 	}
 }
 

@@ -25,34 +25,35 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryInt parses an optional non-negative integer query parameter.
-func queryInt(r *http.Request, name string) (int, bool, error) {
+func queryInt(r *http.Request, name string) (int, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		return 0, false, nil
+		return 0, nil
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil {
-		return 0, false, fmt.Errorf("invalid %s=%q: must be an integer", name, raw)
+		return 0, fmt.Errorf("invalid %s=%q: must be an integer", name, raw)
 	}
 	if v < 0 {
-		return 0, false, fmt.Errorf("invalid %s=%d: must be >= 0", name, v)
+		return 0, fmt.Errorf("invalid %s=%d: must be >= 0", name, v)
 	}
-	return v, true, nil
+	return v, nil
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	limit, _, err := queryInt(r, "limit")
+	limit, err := queryInt(r, "limit")
 	if err != nil {
 		s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest, err.Error())
 		return
 	}
-	offset, _, err := queryInt(r, "offset")
-	if err != nil {
-		s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest, err.Error())
+	// A raw offset is refused rather than ignored: ignoring it would hand a
+	// client that still sends one page one for ever.
+	if r.URL.Query().Has("offset") {
+		s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest,
+			"offset is not supported: continue a listing with cursor=<next_cursor of the previous page>")
 		return
 	}
-	// The cursor is the preferred pagination handle; ?offset= stays as a
-	// deprecated alias and loses when both are sent.
+	offset := 0
 	if raw := r.URL.Query().Get("cursor"); raw != "" {
 		offset, err = decodeCursor(raw)
 		if err != nil {
@@ -125,32 +126,6 @@ func (s *Server) handleCampaignDetail(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, DetailToWire(detail))
 }
 
-// handleLegacyCampaigns keeps the historical surface: ?n= (invalid -> 400,
-// negative -> default top-N, 0 -> all) and a bare JSON array body.
-func (s *Server) handleLegacyCampaigns(w http.ResponseWriter, r *http.Request) {
-	n := s.cfg.DefaultTopN
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil {
-			s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest,
-				fmt.Sprintf("invalid n=%q: must be an integer", raw))
-			return
-		}
-		if parsed >= 0 {
-			n = parsed
-		}
-	}
-	v := s.cfg.Engine.CurrentView()
-	if s.notModified(w, r, etagForEpoch(v.Epoch)) {
-		return
-	}
-	views := v.Campaigns
-	if n > 0 && n < len(views) {
-		views = views[:n]
-	}
-	s.writeJSON(w, http.StatusOK, CampaignsToWire(views))
-}
-
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	var res *stream.Results
 	if s.cfg.Results != nil {
@@ -159,7 +134,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if res == nil {
 		// 503 + Retry-After, not 404: the route exists, the resource is just
 		// not ready yet, and pollers should keep polling.
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 		s.error(w, http.StatusServiceUnavailable, apiv1.CodeResultsPending,
 			"results pending: replay still in flight")
 		return
@@ -197,7 +172,7 @@ func (s *Server) submitWire(w http.ResponseWriter, ctx context.Context, ws apiv1
 	// legitimately take arbitrarily long, but any single sample the engine
 	// cannot absorb within the request timeout is a stall, and the client
 	// should see the advertised 503 instead of hanging.
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	sctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	if err := s.cfg.Submit(sctx, sample); err != nil {
 		switch {
@@ -434,11 +409,6 @@ func (s *Server) handleCampaignTimeline(w http.ResponseWriter, r *http.Request) 
 	s.writeJSON(w, http.StatusOK, TimelineToWire(id, snap))
 }
 
-func (s *Server) handleHealthV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, apiv1.Health{Status: "ok"})
-}
-
-// handleHealthLegacy keeps the historical plain-text probe body.
-func (s *Server) handleHealthLegacy(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
 }

@@ -101,7 +101,7 @@ func (s *Server) handleScenarioDelta(w http.ResponseWriter, r *http.Request) {
 	case scenario.StateFailed:
 		s.error(w, http.StatusConflict, apiv1.CodeInternal, "scenario failed: "+job.Error)
 	default:
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())))
 		s.error(w, http.StatusServiceUnavailable, apiv1.CodeScenarioPending,
 			"scenario "+job.ID+" is "+string(job.State))
 	}

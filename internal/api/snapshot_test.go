@@ -33,7 +33,7 @@ func TestConditionalRevalidation(t *testing.T) {
 		return resp
 	}
 
-	for _, path := range []string{"/api/v1/campaigns", "/campaigns", "/api/v1/campaigns/1"} {
+	for _, path := range []string{"/api/v1/campaigns", "/api/v1/campaigns?limit=3", "/api/v1/campaigns/1"} {
 		resp := get(path, "")
 		etag := resp.Header.Get("ETag")
 		body, _ := io.ReadAll(resp.Body)
@@ -86,8 +86,8 @@ func TestConditionalRevalidation(t *testing.T) {
 	}
 }
 
-// TestCursorPagination walks the listing by cursor and checks the cursor
-// wins over the deprecated offset alias.
+// TestCursorPagination walks the listing by cursor and checks the page
+// echoes the position its cursor decoded to.
 func TestCursorPagination(t *testing.T) {
 	d := newTestDaemon(t, api.Config{})
 	d.ingestAll(t)
@@ -140,14 +140,14 @@ func TestCursorPagination(t *testing.T) {
 		}
 	}
 
-	// Cursor beats the deprecated offset alias when both are sent.
+	// The page echoes the position its cursor decoded to.
 	first := getPage("?limit=2")
 	if first.NextCursor == "" {
 		t.Fatal("first page minted no cursor")
 	}
-	both := getPage("?limit=2&offset=0&cursor=" + first.NextCursor)
-	if both.Offset != 2 || both.Campaigns[0].ID != all.Campaigns[2].ID {
-		t.Fatalf("cursor did not win over offset: offset %d, first id %d", both.Offset, both.Campaigns[0].ID)
+	second := getPage("?limit=2&cursor=" + first.NextCursor)
+	if second.Offset != 2 || second.Campaigns[0].ID != all.Campaigns[2].ID {
+		t.Fatalf("cursor page: offset %d, first id %d; want 2, %d", second.Offset, second.Campaigns[0].ID, all.Campaigns[2].ID)
 	}
 
 	// Garbage cursors are client errors.
@@ -224,8 +224,7 @@ func TestReadsServeWhileCollectorLocked(t *testing.T) {
 		"/api/v1/campaigns/1",
 		"/api/v1/timeseries",
 		"/api/v1/campaigns/1/timeline",
-		"/campaigns?n=3",
-		"/stats",
+		"/api/v1/campaigns?limit=3",
 	} {
 		resp, err := cl.Get(d.ts.URL + path)
 		if err != nil {

@@ -146,10 +146,11 @@ func TestTimeseriesDisabled409(t *testing.T) {
 	}
 }
 
-// TestCampaignsOffsetPastEnd pins that any offset at or past the end of the
-// (filtered) listing answers an empty page — not an error, not a panic —
-// for every filter combination.
-func TestCampaignsOffsetPastEnd(t *testing.T) {
+// TestCampaignsCursorPastEnd pins that a stale cursor — minted against a
+// listing that has since shrunk, so its position is at or past the end of
+// the (filtered) listing — answers an explicit empty page with the total
+// intact: not an error, not a panic, for every filter combination.
+func TestCampaignsCursorPastEnd(t *testing.T) {
 	d := newTestDaemon(t, api.Config{})
 	d.ingestAll(t)
 	d.finish(t)
@@ -192,7 +193,7 @@ func TestCampaignsOffsetPastEnd(t *testing.T) {
 			for k, v := range f {
 				q[k] = v
 			}
-			q.Set("offset", fmt.Sprint(offset))
+			q.Set("cursor", api.EncodeCursor(1, offset))
 			q.Set("limit", "5")
 			var page apiv1.CampaignPage
 			getJSON(t, d.ts.URL+"/api/v1/campaigns?"+q.Encode(), &page)

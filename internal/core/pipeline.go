@@ -6,9 +6,11 @@
 // Since the streaming refactor the analysis stages live in internal/stream;
 // Pipeline is the batch front-end: it drives the same staged dataflow over a
 // consolidated corpus and returns the assembled Results in one call. Batch
-// runs default to a single shard, so `Run` remains the deterministic
-// single-threaded reference the streaming engine is validated against; set
-// Config.Shards > 1 to run the batch concurrently.
+// runs default to a single shard — still four stage goroutines beside a
+// dispatcher and the collector, but one chain, so samples reach the collector
+// in submission order and `Run` remains the deterministic reference the
+// streaming engine is validated against; set Config.Shards > 1 to run
+// several chains concurrently.
 //
 // The pipeline is agnostic to whether its inputs come from the synthetic
 // ecosystem (internal/ecosim) or from real feeds: it consumes the Feed, AV,
@@ -78,8 +80,10 @@ type Config struct {
 	// FuzzyThreshold overrides the stock-tool fuzzy-hash distance threshold.
 	FuzzyThreshold float64
 	// Shards is the number of concurrent analysis chains driven by the
-	// underlying streaming engine. The default of 1 keeps batch runs
-	// single-threaded and bit-reproducible run over run.
+	// underlying streaming engine. The default of 1 is one chain — four
+	// stage goroutines beside a dispatcher and the collector, not a single
+	// thread — which delivers samples to the collector in submission order
+	// and keeps batch runs bit-reproducible run over run.
 	Shards int
 	// QueueDepth bounds the streaming engine's channels (default 64).
 	QueueDepth int

@@ -1,0 +1,47 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop a quarter of its puts at random, so
+// regexp's machine cache — most of what Extract allocates — stops being
+// countable under it; the budget is checked by the uninstrumented run.
+
+package extract
+
+import (
+	"testing"
+
+	"cryptomining/internal/dnssim"
+	"cryptomining/internal/ecosim"
+	"cryptomining/internal/model"
+	"cryptomining/internal/sandbox"
+	"cryptomining/internal/static"
+)
+
+// extractAllocs bounds the allocations of one Extract over the fixed sample:
+// the first body of ecosim's streamed corpus (seed 7) that the sandbox runs
+// with a command line and whose record comes out a miner. Measured on go1.24: 59 — the candidate and
+// endpoint regexes over the sandbox's command lines and network capture, and
+// the record's slices. ROADMAP item 2 (one scanner for static and extract)
+// ratchets this down.
+const extractAllocs = 61
+
+func TestExtractAllocBudget(t *testing.T) {
+	gen := ecosim.NewStream(ecosim.StreamConfig{Seed: 7})
+	analyzer, box := static.New(), sandbox.New(dnssim.NewResolver(gen.Zone()))
+	var in Inputs
+	for i := 0; i < 100 && in.Sample == nil; i++ {
+		s := gen.Next().Sample
+		st := analyzer.Analyze(s.Content)
+		cand := Inputs{Sample: s, Static: &st, Dynamic: box.Run(s.SHA256, s.Content), AVReport: gen.AVProvider().Report(s.SHA256)}
+		if rec := Extract(cand); rec.Type == model.TypeMiner && len(cand.Dynamic.CommandLines()) > 0 {
+			in = cand
+		}
+	}
+	if in.Sample == nil {
+		t.Fatal("no streamed miner with a sandbox command line in the first 100")
+	}
+	allocs := testing.AllocsPerRun(100, func() { Extract(in) })
+	if allocs > extractAllocs {
+		t.Errorf("Extract allocates %v times, budget %d", allocs, extractAllocs)
+	}
+	t.Logf("Extract: %v allocations", allocs)
+}

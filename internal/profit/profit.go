@@ -302,7 +302,14 @@ func (a *Analyzer) TopWallets(wallets []string, n int) []WalletEarning {
 	for w, act := range acts {
 		out = append(out, WalletEarning{Wallet: w, XMR: act.TotalXMR, USD: act.TotalUSD})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].XMR > out[j].XMR })
+	// Ties break on the wallet so the ranking (and which of several equal
+	// earners make the cut) does not depend on map iteration order.
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].XMR != out[j].XMR {
+			return out[i].XMR > out[j].XMR
+		}
+		return out[i].Wallet < out[j].Wallet
+	})
 	if n > 0 && n < len(out) {
 		out = out[:n]
 	}

@@ -167,6 +167,23 @@ func TestTopCampaignsAndWallets(t *testing.T) {
 	if topW[0].XMR <= 0 || topW[0].USD <= 0 {
 		t.Errorf("top wallet earnings = %+v", topW[0])
 	}
+
+	// Equal earners rank by wallet — both their order and which of them make
+	// the cut — whatever order the map yields them in.
+	dir := pool.NewDirectory(nil)
+	p, _ := dir.Get("minexmr")
+	tied := []string{"4TIE_C", "4TIE_A", "4TIE_D", "4TIE_B"}
+	for _, w := range tied {
+		p.SimulateMining(w, 100, 100*pow.TypicalVictimHashrate, date(2017, 1, 1), date(2017, 6, 1), 7*24*time.Hour, nil)
+	}
+	ta := NewAnalyzer(NewCollector(dir, exchange.NewDefaultHistory(), date(2019, 4, 30)))
+	for range 20 {
+		ties := ta.TopWallets(tied, 3)
+		if len(ties) != 3 || ties[0].XMR != ties[2].XMR ||
+			ties[0].Wallet != "4TIE_A" || ties[1].Wallet != "4TIE_B" || ties[2].Wallet != "4TIE_C" {
+			t.Fatalf("TopWallets with ties = %+v", ties)
+		}
+	}
 }
 
 func TestRankPools(t *testing.T) {

@@ -7,16 +7,18 @@ import (
 	"cryptomining/internal/scenario"
 )
 
-// TestReplayOverStreamedEcosystem is the acceptance-scale run: a 100k-sample
-// streamed ecosystem flows into a live engine, and a pool-ban scenario must
-// replay to completion with non-empty deltas computed from the shadow
-// timeseries stores. The race detector and -short both gate the sample count
-// down — the full scale runs in the plain tier-1 pass.
+// TestReplayOverStreamedEcosystem replays a pool-ban scenario over a
+// 10k-sample streamed ecosystem; the 100k acceptance-scale form of the same
+// run is behind the scale build tag (scale_100k_test.go).
 func TestReplayOverStreamedEcosystem(t *testing.T) {
-	n := 100_000
-	if raceEnabled || testing.Short() {
-		n = 10_000
-	}
+	replayOverStreamedEcosystem(t, 10_000)
+}
+
+// replayOverStreamedEcosystem flows an n-sample streamed ecosystem into a
+// live engine and requires a pool-ban scenario to replay to completion with
+// non-empty deltas computed from the shadow timeseries stores, leaving the
+// live engine untouched.
+func replayOverStreamedEcosystem(t *testing.T, n int) {
 	eng, cfg, clock := newStreamedEngine(t, 1234, n)
 	m := newManager(t, eng, cfg, clock)
 

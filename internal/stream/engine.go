@@ -60,9 +60,11 @@ type Engine struct {
 	// mu, loaded lock-free by readers; never nil (New seeds epoch 0).
 	view atomic.Pointer[View]
 
-	// ts is the longitudinal metrics store (nil when disabled). It is
-	// guarded by mu alongside the collector state it is recorded with, so
-	// the hot path takes no additional lock.
+	// ts is the longitudinal metrics store (nil when disabled). The
+	// collector records into it while holding mu, so what it holds is
+	// consistent with the collector state a checkpoint exports beside it;
+	// the store also takes its own RWMutex on every call, which is what lets
+	// the timeseries reads (Timeseries, CampaignTimeline) run without mu.
 	ts *timeseries.Store
 
 	// ackLow / ackAbove track which submission sequence numbers (SubmitSeq)
@@ -643,41 +645,6 @@ func (f CampaignFilter) Matches(v CampaignView) bool {
 		return false
 	}
 	return true
-}
-
-// Live returns the top n campaigns by earnings (all of them when n <= 0)
-// from the last published snapshot. Lock-free: never blocks on the collector.
-func (e *Engine) Live(n int) []CampaignView {
-	views := e.LiveFiltered(CampaignFilter{})
-	if n > 0 && n < len(views) {
-		views = views[:n]
-	}
-	return views
-}
-
-// LiveFiltered returns the matching campaigns from the last published
-// snapshot, sorted by earnings (highest first). Lock-free: the view is
-// pre-sorted at publication, and filtering preserves the stable order, so
-// the result is identical to sorting after filtering.
-func (e *Engine) LiveFiltered(f CampaignFilter) []CampaignView {
-	v := e.view.Load()
-	views := make([]CampaignView, 0, len(v.Campaigns))
-	for _, cv := range v.Campaigns {
-		if f.Matches(cv) {
-			views = append(views, cv)
-		}
-	}
-	return views
-}
-
-// CampaignDetail returns the full view of the campaign with the given
-// snapshot ID from the last published snapshot, or false when no such
-// campaign exists. IDs are positions in the deterministic partition
-// ordering, so they are stable for a fixed sample set but may shift as new
-// campaigns appear mid-ingestion. Lock-free: details are built once per
-// publication, so a detail request never stalls ingestion.
-func (e *Engine) CampaignDetail(id int) (CampaignDetail, bool) {
-	return e.view.Load().Detail(id)
 }
 
 // HasSample reports whether the collector has already recorded an outcome

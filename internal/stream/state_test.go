@@ -183,7 +183,7 @@ func TestEngineStartSubmitStatsRace(t *testing.T) {
 						t.Errorf("Stats saw %d shards", st.Shards)
 						return
 					}
-					_ = eng.Live(3)
+					_ = eng.CurrentView()
 					_ = eng.ExportState()
 				}
 			}

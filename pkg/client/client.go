@@ -177,12 +177,9 @@ func (c *Client) Stats(ctx context.Context) (apiv1.Stats, error) {
 }
 
 // CampaignQuery selects and paginates the campaign listing. Zero values are
-// omitted: no filters, offset 0, and limit 0 meaning "all".
+// omitted: no filters, the first page, and limit 0 meaning "all".
 type CampaignQuery struct {
 	Limit int
-	// Offset is the deprecated pagination handle; prefer Cursor, which wins
-	// when both are set.
-	Offset int
 	// Cursor is the opaque next-page token from CampaignPage.NextCursor.
 	Cursor string
 	// Pool / Wallet / MinXMR filter by attribute.
@@ -195,9 +192,6 @@ func (q CampaignQuery) values() url.Values {
 	v := url.Values{}
 	if q.Limit > 0 {
 		v.Set("limit", strconv.Itoa(q.Limit))
-	}
-	if q.Offset > 0 {
-		v.Set("offset", strconv.Itoa(q.Offset))
 	}
 	if q.Cursor != "" {
 		v.Set("cursor", q.Cursor)

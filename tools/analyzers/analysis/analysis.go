@@ -47,25 +47,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Module holds every in-module package the driver loaded (the analyzed
-	// package included), sharing one FileSet and type-checker universe with
-	// this pass, so types.Object identities are comparable across entries.
-	// Whole-program passes (hotalloc's cross-package reachability) consume it;
-	// single-package passes ignore it. Nil when the driver analyzes packages
-	// in isolation — passes must degrade to Files/Pkg in that case.
-	Module []*ModulePkg
 	// Report delivers one finding. The driver and the test harness install
 	// their own sinks.
 	Report func(Diagnostic)
-}
-
-// ModulePkg is one loaded package of the analyzed module, as seen by
-// whole-program passes through Pass.Module.
-type ModulePkg struct {
-	PkgPath   string
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
 }
 
 // Diagnostic is one finding at a source position.

@@ -46,13 +46,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			Module: []*analysis.ModulePkg{{
-				PkgPath:   pkg.PkgPath,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-			}},
-			Report: func(d analysis.Diagnostic) { diags = append(diags, d) },
+			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if _, err := a.Run(pass); err != nil {
 			t.Errorf("%s: analyzer %s: %v", pkgPath, a.Name, err)

@@ -28,7 +28,6 @@ import (
 	"cryptomining/tools/analyzers/passes/envelope"
 	"cryptomining/tools/analyzers/passes/goroleak"
 	"cryptomining/tools/analyzers/passes/guardedby"
-	"cryptomining/tools/analyzers/passes/hotalloc"
 	"cryptomining/tools/analyzers/passes/lockorder"
 	"cryptomining/tools/analyzers/passes/metricconv"
 	"cryptomining/tools/analyzers/passes/wirecompat"
@@ -41,7 +40,6 @@ var analyzers = sortedAnalyzers(
 	envelope.Analyzer,
 	goroleak.Analyzer,
 	guardedby.Analyzer,
-	hotalloc.Analyzer,
 	lockorder.Analyzer,
 	metricconv.Analyzer,
 	wirecompat.Analyzer,
@@ -94,19 +92,10 @@ func run() int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, all, err := load.ModuleAll(*dir, patterns)
+	pkgs, err := load.Module(*dir, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cryptolint:", err)
 		return 2
-	}
-	module := make([]*analysis.ModulePkg, 0, len(all))
-	for _, p := range all {
-		module = append(module, &analysis.ModulePkg{
-			PkgPath:   p.PkgPath,
-			Files:     p.Files,
-			Pkg:       p.Types,
-			TypesInfo: p.TypesInfo,
-		})
 	}
 
 	type finding struct {
@@ -124,7 +113,6 @@ func run() int {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Module:    module,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
 				p := pkg.Fset.Position(d.Pos)

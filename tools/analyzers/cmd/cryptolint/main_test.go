@@ -14,7 +14,6 @@ directclock      forbid direct time.Now/Since/NewTimer/... in packages that expo
 envelope         route API errors through the envelope helper and require Allow on 405 responses
 goroleak         every go statement in long-lived packages needs a reachable shutdown edge
 guardedby        annotated struct fields may only be accessed with their declared mutex held on every path
-hotalloc         hot-path functions (reachable from Stage.Process) must stay within the committed allocation budget
 lockorder        forbid engine-mutex acquisition on GET read paths and out-of-order timeseries locking
 metricconv       enforce metric naming (snake_case, _total/_seconds/_bytes) and declared bucket ladders at obs.Registry call sites
 wirecompat       wire-package fields recorded in the schema lock may never be removed, renamed or retyped

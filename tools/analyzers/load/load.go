@@ -187,23 +187,14 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 // full in-module dependency closure is type-checked; only the pattern-matched
 // roots are returned for analysis.
 func Module(root string, patterns []string) ([]*Package, error) {
-	roots, _, err := ModuleAll(root, patterns)
-	return roots, err
-}
-
-// ModuleAll is Module plus the full in-module closure the loader type-checked
-// along the way (pattern roots included), both in import-path order. The
-// closure is what whole-program passes traverse: every package shares the
-// loader's FileSet and type-checker universe.
-func ModuleAll(root string, patterns []string) (roots, all []*Package, err error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Standard"}, patterns...)
 	deps, err := goList(absRoot, args...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	meta := map[string]listEntry{}
 	for _, e := range deps {
@@ -214,7 +205,7 @@ func ModuleAll(root string, patterns []string) (roots, all []*Package, err error
 	rootArgs := append([]string{"list", "-json=ImportPath,GoFiles"}, patterns...)
 	rootEntries, err := goList(absRoot, rootArgs...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	l := NewLoader(func(path string) (string, []string, bool) {
@@ -231,24 +222,9 @@ func ModuleAll(root string, patterns []string) (roots, all []*Package, err error
 		}
 		pkg, err := l.LoadPackage(e.ImportPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
-	}
-	// The -deps closure is fully known up front, so load the rest of the
-	// module too: whole-program passes need every package, not only the
-	// pattern roots.
-	depPaths := make([]string, 0, len(meta))
-	for path := range meta {
-		depPaths = append(depPaths, path)
-	}
-	sort.Strings(depPaths)
-	for _, path := range depPaths {
-		pkg, err := l.LoadPackage(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		all = append(all, pkg)
 	}
 	if len(l.Errors) > 0 {
 		msgs := make([]string, 0, len(l.Errors))
@@ -256,10 +232,10 @@ func ModuleAll(root string, patterns []string) (roots, all []*Package, err error
 			msgs = append(msgs, e.Error())
 		}
 		sort.Strings(msgs)
-		return nil, nil, fmt.Errorf("load: packages do not type-check:\n  %s", strings.Join(msgs, "\n  "))
+		return nil, fmt.Errorf("load: packages do not type-check:\n  %s", strings.Join(msgs, "\n  "))
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
-	return pkgs, all, nil
+	return pkgs, nil
 }
 
 // Dir loads the single package in dir (non-test files), resolving imports of

@@ -55,7 +55,7 @@ func init() {
 	Analyzer.Flags.StringVar(&mutexField, "mutex", "mu",
 		"name of the mutex field on both types")
 	Analyzer.Flags.StringVar(&readsafe, "readsafe",
-		"CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline,Live,LiveFiltered,CampaignDetail",
+		"CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline",
 		"engine methods GET handlers may call (verified mutex-free by rule 2)")
 }
 
