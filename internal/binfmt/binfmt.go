@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"iter"
+	"strings"
 
 	"cryptomining/internal/model"
 )
@@ -295,30 +297,70 @@ func Hashes(content []byte) (sha256Hex, md5Hex string) {
 	return hex.EncodeToString(s[:]), hex.EncodeToString(m[:])
 }
 
-// ExtractStrings returns printable ASCII strings of at least minLen characters
-// found in content, in order of appearance. It mirrors the classic `strings`
-// pass used during static binary analysis.
-func ExtractStrings(content []byte, minLen int) []string {
+// printable is 1 for the printable ASCII bytes, 0x20 through 0x7e.
+var printable = func() (t [256]uint8) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = 1
+	}
+	return t
+}()
+
+// printableRuns yields every run of at least minLen (4 when not positive)
+// printable ASCII bytes in content, in order of appearance: the strings the
+// classic `strings` pass of static binary analysis reports.
+func printableRuns(content []byte, minLen int) iter.Seq[[]byte] {
 	if minLen <= 0 {
 		minLen = 4
 	}
+	return func(yield func([]byte) bool) {
+		// In a packed body whether the next byte is printable is a coin
+		// toss, so the run length is kept by masking, not by a branch on the
+		// byte; the branch taken is the rare end of a long enough run.
+		run := 0
+		for i, c := range content {
+			p := int(printable[c])
+			if run >= minLen && p == 0 && !yield(content[i-run:i]) {
+				return
+			}
+			run = (run + 1) & -p
+		}
+		if run >= minLen {
+			yield(content[len(content)-run:])
+		}
+	}
+}
+
+// ExtractStrings returns printable ASCII strings of at least minLen characters
+// found in content, in order of appearance.
+func ExtractStrings(content []byte, minLen int) []string {
 	var out []string
-	var cur []byte
-	flush := func() {
-		if len(cur) >= minLen {
-			out = append(out, string(cur))
-		}
-		cur = cur[:0]
+	for run := range printableRuns(content, minLen) {
+		out = append(out, string(run))
 	}
-	for _, c := range content {
-		if c >= 0x20 && c < 0x7f {
-			cur = append(cur, c)
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return out
+}
+
+// StringsText returns what strings.Join(ExtractStrings(content, minLen), "\n")
+// returns, and how many strings that is, in one allocation of exactly the
+// text's size: the form the identifier and endpoint scanners read.
+func StringsText(content []byte, minLen int) (text string, n int) {
+	size := 0
+	for run := range printableRuns(content, minLen) {
+		size += len(run) + 1
+		n++
+	}
+	if n == 0 {
+		return "", 0
+	}
+	var b strings.Builder
+	b.Grow(size - 1)
+	for run := range printableRuns(content, minLen) {
+		if b.Len() > 0 {
+			b.WriteByte('\n')
+		}
+		b.Write(run)
+	}
+	return b.String(), n
 }
 
 // String renders a section for debugging.

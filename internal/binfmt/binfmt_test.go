@@ -201,6 +201,34 @@ func TestExtractStringsMinLenDefault(t *testing.T) {
 	}
 }
 
+func TestStringsTextIsTheJoinedStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bodies := [][]byte{nil, []byte("abc"), []byte("abcdef"), []byte("\x00abcdef\x00\x00ghijkl\x7fmnopqr"), []byte("ab\ncdefgh\n")}
+	for i := 0; i < 200; i++ {
+		// Runs of printable bytes around minLen, separated by one or more
+		// bytes from both sides of the printable range.
+		var body []byte
+		for n := rng.Intn(12); n > 0; n-- {
+			for k := rng.Intn(10); k > 0; k-- {
+				body = append(body, byte(0x20+rng.Intn(0x5f)))
+			}
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				body = append(body, []byte{0, '\n', 0x1f, 0x7f, 0x80, 0xff}[rng.Intn(6)])
+			}
+		}
+		bodies = append(bodies, body[:len(body)-min(len(body), rng.Intn(2))])
+	}
+	for _, body := range bodies {
+		for _, minLen := range []int{-1, 0, 1, 4, 6} {
+			strs := ExtractStrings(body, minLen)
+			text, n := StringsText(body, minLen)
+			if want := strings.Join(strs, "\n"); text != want || n != len(strs) {
+				t.Fatalf("StringsText(%q, %d) = %q, %d; ExtractStrings joins to %q, %d", body, minLen, text, n, want, len(strs))
+			}
+		}
+	}
+}
+
 func TestSectionString(t *testing.T) {
 	s := Section{Name: ".text", Data: make([]byte, 10)}
 	if got := s.String(); got != ".text(10 bytes)" {

@@ -83,7 +83,7 @@ func Extract(in Inputs) model.Record {
 		}
 		endpoints = append(endpoints, in.Static.PoolEndpoints...)
 		rec.ITWURLs = append(rec.ITWURLs, in.Static.URLs...)
-		if len(in.Static.Strings) > 0 || len(in.Static.YARAMatches) > 0 {
+		if in.Static.StringCount > 0 || len(in.Static.YARAMatches) > 0 {
 			rec.Resources = append(rec.Resources, model.ResourceBinary)
 		}
 	}
@@ -182,13 +182,22 @@ func threadsFromCommandLine(cl string) int {
 	return 0
 }
 
+// maxThreads bounds what atoiSafe reads: the command line is the sample's
+// to choose, and more digits than this would overflow int into a count that
+// looks real.
+const maxThreads = 1 << 16
+
+// atoiSafe parses a decimal thread count; anything else, or a count above
+// maxThreads, is 0.
 func atoiSafe(s string) int {
 	n := 0
 	for _, c := range s {
 		if c < '0' || c > '9' {
 			return 0
 		}
-		n = n*10 + int(c-'0')
+		if n = n*10 + int(c-'0'); n > maxThreads {
+			return 0
+		}
 	}
 	return n
 }
@@ -198,22 +207,4 @@ func pickNonEmpty(a, b string) string {
 		return a
 	}
 	return b
-}
-
-// Identifiers returns every distinct identifier (not just the primary one)
-// recoverable from the analyses; the campaign aggregation uses the primary
-// identifier, while dataset statistics (e.g. Table XV e-mails per pool) use
-// the full set.
-func Identifiers(in Inputs) []wallet.Candidate {
-	var text strings.Builder
-	if in.Static != nil {
-		text.WriteString(strings.Join(in.Static.Strings, "\n"))
-		text.WriteString("\n")
-	}
-	if in.Dynamic != nil {
-		text.WriteString(strings.Join(in.Dynamic.CommandLines(), "\n"))
-		text.WriteString("\n")
-		text.Write(in.Dynamic.NetworkCapture())
-	}
-	return wallet.ExtractCandidates(text.String())
 }

@@ -220,24 +220,6 @@ func TestExtractNilInputs(t *testing.T) {
 	}
 }
 
-func TestIdentifiersReturnsAllCandidates(t *testing.T) {
-	g := gen(5)
-	w1, w2 := g.Monero(), g.Bitcoin()
-	b := spec.Behavior{
-		IsMiner: true, PoolHost: "pool.minexmr.com", PoolPort: 4444, Wallet: w1,
-		CommandLine: "dual.exe -u " + w1 + " --btc " + w2,
-	}
-	in := buildAndAnalyze(t, b, false, "")
-	ids := Identifiers(in)
-	currencies := map[model.Currency]bool{}
-	for _, c := range ids {
-		currencies[c.Currency] = true
-	}
-	if !currencies[model.CurrencyMonero] || !currencies[model.CurrencyBitcoin] {
-		t.Errorf("Identifiers = %v", ids)
-	}
-}
-
 func TestThreadsFromCommandLine(t *testing.T) {
 	cases := map[string]int{
 		"xmrig -t 8 -u w":           8,
@@ -246,6 +228,12 @@ func TestThreadsFromCommandLine(t *testing.T) {
 		"xmrig -t":                  0,
 		"xmrig -u wallet -p x":      0,
 		"miner --threads=4 --other": 4,
+		"xmrig -t 65536":            65536,
+		"xmrig -t 65537":            0,
+		// In a 64-bit int 2^64+8 wraps to 8 and twenty nines to
+		// 7766279631452241919.
+		"xmrig -t 18446744073709551624":        0,
+		"xmrig --threads=99999999999999999999": 0,
 	}
 	for cl, want := range cases {
 		if got := threadsFromCommandLine(cl); got != want {

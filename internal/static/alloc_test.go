@@ -1,9 +1,3 @@
-//go:build !race
-
-// The race detector makes sync.Pool drop a quarter of its puts at random, so
-// regexp's machine cache stops being countable under it (34 allocations read
-// 55); the budget is checked by the uninstrumented run.
-
 package static
 
 import (
@@ -14,10 +8,10 @@ import (
 
 // analyzeAllocs bounds the allocations of one Analyze over the fixed sample:
 // the first body of ecosim's streamed corpus (seed 7) that yields both an
-// identifier and a pool endpoint. Measured on go1.24: 34 — the extracted
-// strings and their joined copy, the regex matches and the result slices.
-// ROADMAP item 2 (one walk over the body) ratchets this down.
-const analyzeAllocs = 36
+// identifier and a pool endpoint. Measured on go1.24: 13 (14 under -race) —
+// the digests, the text of the body's strings, and per kind of finding the
+// result slice and the copies it holds.
+const analyzeAllocs = 15
 
 func TestAnalyzeAllocBudget(t *testing.T) {
 	a := New()

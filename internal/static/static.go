@@ -3,12 +3,16 @@
 // identifiers, pool endpoints and in-the-wild URLs, matches the built-in YARA
 // miner rules, determines the executable format, and measures obfuscation
 // (packer signatures and entropy), as described in §III-B/§III-C of the paper.
+//
+// Analyze copies the body's printable strings into one transient text and
+// reads it with hand-written byte scanners (scan.go here, internal/wallet for
+// identifiers); the regular expressions they replaced define their behaviour
+// and live on in oracle_test.go, where differential tests over the generated
+// corpora and fuzz targets hold the two together.
 package static
 
 import (
-	"regexp"
 	"strconv"
-	"strings"
 
 	"cryptomining/internal/binfmt"
 	"cryptomining/internal/entropy"
@@ -22,8 +26,8 @@ type Result struct {
 	SHA256 string
 	MD5    string
 	Format model.ExecutableFormat
-	// Strings are the printable strings extracted from the binary.
-	Strings []string
+	// StringCount is the number of printable strings found in the binary.
+	StringCount int
 	// Identifiers are candidate mining identifiers (wallets / e-mails).
 	Identifiers []wallet.Candidate
 	// PoolEndpoints are "host:port" mining endpoints found in strings
@@ -89,17 +93,6 @@ func NewWithRules(rules *yara.RuleSet) *Analyzer {
 	return a
 }
 
-var (
-	// stratum URLs: stratum+tcp://host:port or stratum+ssl://host:port
-	reStratumURL = regexp.MustCompile(`stratum\+(tcp|ssl)://([A-Za-z0-9.\-_]+):(\d{2,5})`)
-	// -o / --url style endpoints without a scheme: host:port following -o or --url=
-	reDashO = regexp.MustCompile(`(?:-o\s+|--url[= ])([A-Za-z0-9.\-_]+):(\d{2,5})`)
-	// bare pool-looking host:port (host contains a known pool keyword)
-	rePoolHostPort = regexp.MustCompile(`\b([A-Za-z0-9.\-_]*(?:pool|xmr|monero|mine|hash)[A-Za-z0-9.\-_]*\.[A-Za-z]{2,}):(\d{2,5})\b`)
-	// http(s) URLs
-	reHTTPURL = regexp.MustCompile(`https?://[A-Za-z0-9.\-_]+(?::\d+)?(?:/[^\s"'<>\x00]*)?`)
-)
-
 // Analyze performs the full static pass over a sample's content.
 func (a *Analyzer) Analyze(content []byte) Result {
 	sha, md5hex := binfmt.Hashes(content)
@@ -109,9 +102,10 @@ func (a *Analyzer) Analyze(content []byte) Result {
 		Format:  binfmt.DetectFormat(content),
 		Entropy: entropy.Shannon(content),
 	}
-	res.Strings = binfmt.ExtractStrings(content, a.MinStringLength)
-	text := strings.Join(res.Strings, "\n")
-
+	// The text is body-sized and dies with this call: the scanners copy what
+	// they return.
+	text, n := binfmt.StringsText(content, a.MinStringLength)
+	res.StringCount = n
 	res.Identifiers = wallet.ExtractCandidates(text)
 	res.PoolEndpoints = ExtractEndpoints(text)
 	res.URLs = extractURLs(text)
@@ -125,47 +119,4 @@ func (a *Analyzer) Analyze(content []byte) Result {
 	res.Obfuscated = res.Packer != "" ||
 		(res.Compression == "" && res.Entropy > entropy.ObfuscationThreshold)
 	return res
-}
-
-// ExtractEndpoints finds mining endpoints (host:port) in free text: stratum
-// URLs, -o/--url arguments and pool-looking host:port pairs.
-func ExtractEndpoints(text string) []Endpoint {
-	var out []Endpoint
-	seen := map[string]bool{}
-	add := func(host, portStr string, tls bool) {
-		port, err := strconv.Atoi(portStr)
-		if err != nil || port <= 0 || port > 65535 {
-			return
-		}
-		host = strings.ToLower(host)
-		key := host + ":" + portStr
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, Endpoint{Host: host, Port: port, TLS: tls})
-	}
-	for _, m := range reStratumURL.FindAllStringSubmatch(text, -1) {
-		add(m[2], m[3], m[1] == "ssl")
-	}
-	for _, m := range reDashO.FindAllStringSubmatch(text, -1) {
-		add(m[1], m[2], false)
-	}
-	for _, m := range rePoolHostPort.FindAllStringSubmatch(text, -1) {
-		add(m[1], m[2], false)
-	}
-	return out
-}
-
-func extractURLs(text string) []string {
-	matches := reHTTPURL.FindAllString(text, -1)
-	var out []string
-	seen := map[string]bool{}
-	for _, m := range matches {
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
 }

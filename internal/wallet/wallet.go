@@ -15,12 +15,16 @@
 //   - Ethereum: 0x-prefixed 40-hex-digit addresses.
 //   - Zcash: transparent t1/t3 addresses.
 //   - E-mail identifiers.
+//
+// Classify and ExtractCandidates are hand-written byte scanners over the
+// class table in scan.go; the regular expressions they replaced define their
+// behaviour and live on in oracle_test.go, where differential tests and a
+// fuzz target hold the two together.
 package wallet
 
 import (
 	"crypto/sha256"
 	"math/big"
-	"regexp"
 	"strings"
 
 	"cryptomining/internal/model"
@@ -37,16 +41,9 @@ var base58Index = func() map[byte]int {
 	return m
 }()
 
-var (
-	reEmail    = regexp.MustCompile(`^[a-zA-Z0-9._%+\-]+@[a-zA-Z0-9.\-]+\.[a-zA-Z]{2,}$`)
-	reEthereum = regexp.MustCompile(`^0x[0-9a-fA-F]{40}$`)
-	reBech32   = regexp.MustCompile(`^bc1[02-9ac-hj-np-z]{11,71}$`)
-	reBase58   = regexp.MustCompile(`^[1-9A-HJ-NP-Za-km-z]+$`)
-)
-
 // IsBase58 reports whether s consists only of base58 symbols.
 func IsBase58(s string) bool {
-	return s != "" && reBase58.MatchString(s)
+	return s != "" && allIn(s, cBase58)
 }
 
 // Base58Decode decodes a base58 string into bytes. It returns ok=false for
@@ -157,13 +154,14 @@ func Classify(id string) model.Currency {
 	if id == "" {
 		return model.CurrencyUnknown
 	}
-	if reEmail.MatchString(id) {
+	if isEmail(id) {
 		return model.CurrencyEmail
 	}
-	if reEthereum.MatchString(id) {
+	if len(id) == 42 && strings.HasPrefix(id, "0x") && allIn(id[2:], cHex) {
 		return model.CurrencyEthereum
 	}
-	if reBech32.MatchString(id) {
+	// Bitcoin bech32: bc1 + 11-71 symbols of its lower-case alphabet.
+	if len(id) >= 14 && len(id) <= 74 && strings.HasPrefix(id, "bc1") && allIn(id[3:], cBech32) {
 		return model.CurrencyBitcoin
 	}
 	// Zcash transparent addresses: t1/t3 + 33 base58 chars.
@@ -200,43 +198,6 @@ func IsWallet(id string) bool {
 	default:
 		return true
 	}
-}
-
-// extraction regexes: candidate identifiers found inside free text (command
-// lines, config files, network payloads, binary strings).
-var (
-	reCandidateCryptoNote = regexp.MustCompile(`\b(?:4|8|2|etn|Sumo|iz|TRTL|Wm|WW)[1-9A-HJ-NP-Za-km-z]{90,110}\b`)
-	reCandidateBTC        = regexp.MustCompile(`\b[13][1-9A-HJ-NP-Za-km-z]{25,34}\b`)
-	reCandidateETH        = regexp.MustCompile(`\b0x[0-9a-fA-F]{40}\b`)
-	reCandidateZEC        = regexp.MustCompile(`\bt[13][1-9A-HJ-NP-Za-km-z]{33}\b`)
-	reCandidateEmail      = regexp.MustCompile(`[a-zA-Z0-9._%+\-]+@[a-zA-Z0-9.\-]+\.[a-zA-Z]{2,}`)
-)
-
-// ExtractCandidates scans free text and returns every substring that looks
-// like a mining identifier, with its classified currency. Duplicates are
-// removed while preserving first-occurrence order.
-func ExtractCandidates(text string) []Candidate {
-	var out []Candidate
-	seen := map[string]bool{}
-	add := func(matches []string) {
-		for _, m := range matches {
-			if seen[m] {
-				continue
-			}
-			c := Classify(m)
-			if c == model.CurrencyUnknown {
-				continue
-			}
-			seen[m] = true
-			out = append(out, Candidate{ID: m, Currency: c})
-		}
-	}
-	add(reCandidateCryptoNote.FindAllString(text, -1))
-	add(reCandidateZEC.FindAllString(text, -1))
-	add(reCandidateBTC.FindAllString(text, -1))
-	add(reCandidateETH.FindAllString(text, -1))
-	add(reCandidateEmail.FindAllString(text, -1))
-	return out
 }
 
 // Candidate is one identifier found in free text.
