@@ -93,6 +93,8 @@ func decodeEnvelope(t *testing.T, resp *http.Response) apiv1.ErrorEnvelope {
 	return env
 }
 
+// TestMethodGuards sends one disallowed method to every route: each answers
+// the 405 envelope with the route's Allow list.
 func TestMethodGuards(t *testing.T) {
 	d := newTestDaemon(t, api.Config{})
 	cases := []struct {
@@ -100,26 +102,32 @@ func TestMethodGuards(t *testing.T) {
 	}{
 		{http.MethodPost, "/api/v1/stats", "GET, HEAD"},
 		{http.MethodDelete, "/api/v1/campaigns", "GET, HEAD"},
-		{http.MethodGet, "/api/v1/samples", "POST"},
-		{http.MethodGet, "/api/v1/checkpoint", "POST"},
+		{http.MethodPut, "/api/v1/campaigns/1", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/campaigns/1/timeline", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/timeseries", "GET, HEAD"},
 		{http.MethodPost, "/api/v1/results", "GET, HEAD"},
+		{http.MethodGet, "/api/v1/checkpoint", "POST"},
+		{http.MethodGet, "/api/v1/samples", "POST"},
 		{http.MethodPost, "/api/v1/healthz", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/events", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/probe", "GET, HEAD"},
+		{http.MethodGet, "/api/v1/probe/refresh", "POST"},
+		{http.MethodGet, "/api/v1/finish", "POST"},
+		{http.MethodDelete, "/api/v1/scenarios", "GET, POST, HEAD"},
+		{http.MethodDelete, "/api/v1/scenarios/sc-1", "GET, HEAD"},
+		{http.MethodPost, "/api/v1/scenarios/sc-1/delta", "GET, HEAD"},
 	}
 	for _, tc := range cases {
+		what := tc.method + " " + tc.path
 		req, _ := http.NewRequest(tc.method, d.ts.URL+tc.path, nil)
 		resp, err := d.ts.Client().Do(req)
 		if err != nil {
-			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
-		}
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+			t.Fatalf("%s: %v", what, err)
 		}
 		if got := resp.Header.Get("Allow"); got != tc.wantAllow {
-			t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.wantAllow)
+			t.Errorf("%s: Allow %q, want %q", what, got, tc.wantAllow)
 		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeMethodNotAllowed {
-			t.Fatalf("%s %s: code %q", tc.method, tc.path, env.Error.Code)
-		}
+		requireEnvelope(t, what, resp, http.StatusMethodNotAllowed, apiv1.CodeMethodNotAllowed)
 	}
 }
 

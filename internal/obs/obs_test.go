@@ -68,8 +68,8 @@ func TestRegistrationIdempotent(t *testing.T) {
 		t.Fatal("same (name, labels) returned two counter instances")
 	}
 	// Label order must not matter.
-	h1 := r.Histogram("lat_seconds", "", LatencyBuckets, L("a", "1"), L("b", "2"))
-	h2 := r.Histogram("lat_seconds", "", LatencyBuckets, L("b", "2"), L("a", "1"))
+	h1 := r.Histogram("lat_seconds", "Latency.", LatencyBuckets, L("a", "1"), L("b", "2"))
+	h2 := r.Histogram("lat_seconds", "Latency.", LatencyBuckets, L("b", "2"), L("a", "1"))
 	if h1 != h2 {
 		t.Fatal("label order produced distinct histograms")
 	}
@@ -77,13 +77,66 @@ func TestRegistrationIdempotent(t *testing.T) {
 
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.Counter("x_total", "X.")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.Gauge("x_total", "X.")
+}
+
+// TestNamingRules pins one accepted and one rejected registration per naming
+// rule: a family that breaks a rule panics when it is first registered.
+func TestNamingRules(t *testing.T) {
+	// The package's own families register cleanly.
+	own := NewRegistry()
+	RegisterBuildInfo(own)
+	RegisterRuntimeMetrics(own)
+
+	counter := func(name, help string) func(*Registry) {
+		return func(r *Registry) { r.Counter(name, help) }
+	}
+	gauge := func(name string) func(*Registry) {
+		return func(r *Registry) { r.GaugeFunc(name, "G.", func() float64 { return 0 }) }
+	}
+	hist := func(name string, ladder []float64) func(*Registry) {
+		return func(r *Registry) { r.Histogram(name, "H.", ladder) }
+	}
+	cases := []struct {
+		rule     string
+		register func(*Registry)
+		ok       bool
+	}{
+		{"snake_case", counter("jobs_done_total", "Jobs."), true},
+		{"snake_case", counter("JobsDone_total", "Jobs."), false},
+		{"no double underscore", counter("jobs_done_total", "Jobs."), true},
+		{"no double underscore", counter("jobs__done_total", "Jobs."), false},
+		{"no trailing underscore", gauge("queue_depth"), true},
+		{"no trailing underscore", gauge("queue_depth_"), false},
+		{"counter ends in _total", counter("requests_total", "Requests."), true},
+		{"counter ends in _total", counter("requests", "Requests."), false},
+		{"gauge does not end in _total", gauge("backlog"), true},
+		{"gauge does not end in _total", gauge("backlog_total"), false},
+		{"histogram unit suffix", hist("req_seconds", LatencyBuckets), true},
+		{"histogram unit suffix", hist("req_latency", LatencyBuckets), false},
+		{"_seconds not on SizeBuckets", hist("wait_seconds", []float64{1, 2}), true},
+		{"_seconds not on SizeBuckets", hist("wait_seconds", SizeBuckets), false},
+		{"_bytes not on LatencyBuckets", hist("blob_bytes", SizeBuckets), true},
+		{"_bytes not on LatencyBuckets", hist("blob_bytes", LatencyBuckets), false},
+		{"non-empty help", counter("helped_total", "Helped."), true},
+		{"non-empty help", counter("helped_total", " "), false},
+	}
+	for _, c := range cases {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			c.register(NewRegistry())
+			return false
+		}()
+		if panicked == c.ok {
+			t.Errorf("%s: accepted=%v, want %v", c.rule, !panicked, c.ok)
+		}
+	}
 }
 
 func TestHistogramZeroObservations(t *testing.T) {
@@ -109,7 +162,7 @@ func TestHistogramZeroObservations(t *testing.T) {
 
 func TestHistogramExactBoundaryAndOverflow(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("d_seconds", "", []float64{0.1, 1, 10})
+	h := r.Histogram("d_seconds", "Durations.", []float64{0.1, 1, 10})
 	h.Observe(0.1) // exactly on the first bound: le is inclusive
 	h.Observe(1.0) // exactly on the second
 	h.Observe(0.5)
@@ -136,7 +189,7 @@ func TestHistogramExactBoundaryAndOverflow(t *testing.T) {
 
 func TestHistogramLabeledBucketLines(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "", []float64{1}, L("stage", "sanity"))
+	h := r.Histogram("stage_seconds", "Stage latency.", []float64{1}, L("stage", "sanity"))
 	h.Observe(0.5)
 	text := render(r)
 	requireValidExposition(t, text)
@@ -150,19 +203,19 @@ func TestHistogramLabeledBucketLines(t *testing.T) {
 
 func TestHistogramMismatchedLadderPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("h_seconds", "", []float64{1, 2})
+	r.Histogram("h_seconds", "H.", []float64{1, 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second registration with a different ladder did not panic")
 		}
 	}()
-	r.Histogram("h_seconds", "", []float64{1, 2, 3})
+	r.Histogram("h_seconds", "H.", []float64{1, 2, 3})
 }
 
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("c_seconds", "", []float64{0.5})
-	c := r.Counter("c_total", "")
+	h := r.Histogram("c_seconds", "C.", []float64{0.5})
+	c := r.Counter("c_total", "C.")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -185,7 +238,7 @@ func TestConcurrentObserve(t *testing.T) {
 
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "", L("path", `a"b\c`+"\n")).Inc()
+	r.Counter("esc_total", "Escapes.", L("path", `a"b\c`+"\n")).Inc()
 	text := render(r)
 	if !strings.Contains(text, `esc_total{path="a\"b\\c\n"} 1`) {
 		t.Fatalf("label escaping wrong:\n%s", text)
@@ -194,7 +247,7 @@ func TestLabelValueEscaping(t *testing.T) {
 
 func TestHandlerServesExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ok_total", "").Inc()
+	r.Counter("ok_total", "OK.").Inc()
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -289,10 +342,10 @@ func TestWritePrometheusConcurrentRegister(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
-				r.Counter("lazy_total", "",
+				r.Counter("lazy_total", "Lazy.",
 					L("route", strings.Repeat("x", g+1)+string(rune('a'+i%26))),
 					L("n", string(rune('0'+i%10)))).Inc()
-				r.Histogram("lazy_seconds", "", []float64{0.1, 1},
+				r.Histogram("lazy_seconds", "Lazy.", []float64{0.1, 1},
 					L("n", string(rune('0'+i%10)))).Observe(0.05)
 			}
 		}(g)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,24 +115,25 @@ func NewRegistry() *Registry {
 }
 
 // register resolves (name, labels) to the family's instrument, creating
-// family and instrument on first use. Type or ladder mismatches on an
-// existing name panic: two subsystems fighting over one metric name is a
+// family and instrument on first use. A family that breaks the naming rules
+// (checkFamily) panics when it is created; type or ladder mismatches on an
+// existing name panic too: two subsystems fighting over one metric name is a
 // programming error that must not surface as silently wrong exposition.
 func (r *Registry) register(name, help, typ string, buckets []float64, labels []Label, mk func() instrument) instrument {
-	if name == "" {
-		panic("obs: metric with empty name")
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
+		if broken := checkFamily(name, help, typ, buckets); broken != "" {
+			panic(fmt.Sprintf("obs: metric %q: %s", name, broken))
+		}
 		f = &family{name: name, help: help, typ: typ, buckets: buckets, instruments: map[string]instrument{}}
 		r.families[name] = f
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
 	}
-	if typ == typeHistogram && !equalBuckets(f.buckets, buckets) {
+	if typ == typeHistogram && !slices.Equal(f.buckets, buckets) {
 		panic(fmt.Sprintf("obs: histogram %q registered with two different bucket ladders", name))
 	}
 	sig := labelSignature(labels)
@@ -143,12 +145,52 @@ func (r *Registry) register(name, help, typ string, buckets []float64, labels []
 	return inst
 }
 
-func equalBuckets(a, b []float64) bool {
-	if len(a) != len(b) {
+// checkFamily enforces the naming conventions dashboards rely on, returning
+// the broken rule ("" when the family is fine): names are snake_case,
+// counters end in _total and gauges do not, histograms carry their unit
+// (_seconds or _bytes) and the shared ladder matching it, and help is
+// non-empty.
+func checkFamily(name, help, typ string, buckets []float64) string {
+	if !isSnakeCase(name) {
+		return "name is not snake_case (want [a-z][a-z0-9_]* with no __ or trailing _)"
+	}
+	if strings.TrimSpace(help) == "" {
+		return "empty help string"
+	}
+	total := strings.HasSuffix(name, "_total")
+	switch typ {
+	case typeCounter:
+		if !total {
+			return "counter name must end in _total"
+		}
+	case typeGauge:
+		if total {
+			return "gauge name must not end in _total"
+		}
+	case typeHistogram:
+		switch {
+		case strings.HasSuffix(name, "_seconds"):
+			if slices.Equal(buckets, SizeBuckets) {
+				return "_seconds histogram uses the SizeBuckets ladder"
+			}
+		case strings.HasSuffix(name, "_bytes"):
+			if slices.Equal(buckets, LatencyBuckets) {
+				return "_bytes histogram uses the LatencyBuckets ladder"
+			}
+		default:
+			return "histogram name must end in _seconds or _bytes"
+		}
+	}
+	return ""
+}
+
+func isSnakeCase(name string) bool {
+	if name == "" || name[0] < 'a' || name[0] > 'z' || name[len(name)-1] == '_' || strings.Contains(name, "__") {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '_' {
 			return false
 		}
 	}
@@ -238,9 +280,7 @@ func (r *Registry) WritePrometheus(b *strings.Builder) {
 	r.mu.Unlock()
 
 	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
+		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
 		for i, sig := range f.sigs {
 			f.insts[i].write(b, f.name, sig)

@@ -1,7 +1,9 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -242,9 +244,15 @@ func TestRegisterConnection(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip restores a ledger from its snapshot and requires the
+// same wallet figures and a byte-identical re-snapshot: wallets and their IPs
+// live in maps, so the snapshot must sort both.
 func TestSnapshotRoundTrip(t *testing.T) {
 	p := newTestPool(DefaultPolicy())
 	p.SimulateMining("4SNAP", 20, 20*pow.TypicalVictimHashrate, date(2017, 1, 1), date(2017, 6, 1), 24*time.Hour, nil)
+	for i := 0; i < 16; i++ {
+		p.SimulateMining(fmt.Sprintf("4W%02d", i), 4, pow.TypicalVictimHashrate, date(2017, 1, 1), date(2017, 2, 1), 24*time.Hour, nil)
+	}
 	before, err := p.Stats("4SNAP", date(2017, 7, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +271,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if before.TotalPaid != after.TotalPaid || before.Hashes != after.Hashes || before.NumPayments != after.NumPayments {
 		t.Errorf("snapshot round trip mismatch: before=%+v after=%+v", before, after)
+	}
+	again, err := restored.MarshalSnapshot()
+	if err != nil {
+		t.Fatalf("MarshalSnapshot after restore: %v", err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Errorf("snapshot not byte-stable across restore (%d vs %d bytes)", len(data), len(again))
 	}
 	if err := restored.UnmarshalSnapshot([]byte("{invalid")); err == nil {
 		t.Error("invalid snapshot should error")

@@ -135,15 +135,16 @@ func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *taskHeap) Push(x any)   { *h = append(*h, x.(task)) }
 func (h *taskHeap) Pop() any     { old := *h; n := len(old); t := old[n-1]; *h = old[:n-1]; return t }
 
-// poolCounters tracks one pool's crawl telemetry.
+// poolCounters tracks one pool's crawl telemetry. The typed atomics make a
+// plain, racing access a compile error.
 type poolCounters struct {
-	requests       uint64
-	ok             uint64
-	unknownWallet  uint64
-	opaquePool     uint64
-	retries        uint64
-	failed         uint64
-	throttledNanos int64
+	requests       atomic.Uint64
+	ok             atomic.Uint64
+	unknownWallet  atomic.Uint64
+	opaquePool     atomic.Uint64
+	retries        atomic.Uint64
+	failed         atomic.Uint64
+	throttledNanos atomic.Int64
 }
 
 // Scheduler runs the crawl: a worker pool draining the priority queue into
@@ -262,20 +263,17 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("probe_cache_misses_total", "CollectWallet reads missing the cache.",
 		func() float64 { return float64(s.misses.Load()) })
 	for name, pc := range s.pools {
-		pc := pc
 		lbl := obs.L("pool", name)
 		reg.CounterFunc("probe_pool_requests_total", "Fetch attempts against the pool.",
-			func() float64 { return float64(atomic.LoadUint64(&pc.requests)) }, lbl)
+			func() float64 { return float64(pc.requests.Load()) }, lbl)
 		reg.CounterFunc("probe_pool_retries_total", "Backoff retry rounds against the pool.",
-			func() float64 { return float64(atomic.LoadUint64(&pc.retries)) }, lbl)
+			func() float64 { return float64(pc.retries.Load()) }, lbl)
 		reg.CounterFunc("probe_pool_failed_total",
 			"Probes that exhausted retries against the pool (terminal errors).",
-			func() float64 { return float64(atomic.LoadUint64(&pc.failed)) }, lbl)
+			func() float64 { return float64(pc.failed.Load()) }, lbl)
 		reg.CounterFunc("probe_pool_throttled_seconds_total",
 			"Cumulative time spent waiting on the pool's rate limiter.",
-			func() float64 {
-				return time.Duration(atomic.LoadInt64(&pc.throttledNanos)).Seconds()
-			}, lbl)
+			func() float64 { return time.Duration(pc.throttledNanos.Load()).Seconds() }, lbl)
 	}
 }
 
@@ -624,32 +622,32 @@ func (s *Scheduler) fetchWithRetry(ctx context.Context, poolName, wallet string)
 	class := ErrorUnreachable
 	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
 		if wait := bucket.reserve(s.clock.Now()); wait > 0 {
-			atomic.AddInt64(&pc.throttledNanos, int64(wait))
+			pc.throttledNanos.Add(int64(wait))
 			select {
 			case <-s.clock.After(wait):
 			case <-ctx.Done():
 				return model.WalletStats{}, ErrorUnreachable
 			}
 		}
-		atomic.AddUint64(&pc.requests, 1)
+		pc.requests.Add(1)
 		stats, err := s.cfg.Source.Fetch(ctx, poolName, wallet)
 		class = Classify(err)
 		switch class {
 		case ErrorNone:
-			atomic.AddUint64(&pc.ok, 1)
+			pc.ok.Add(1)
 			return stats, ErrorNone
 		case ErrorUnknownWallet:
-			atomic.AddUint64(&pc.unknownWallet, 1)
+			pc.unknownWallet.Add(1)
 			return model.WalletStats{}, class
 		case ErrorOpaquePool:
-			atomic.AddUint64(&pc.opaquePool, 1)
+			pc.opaquePool.Add(1)
 			return model.WalletStats{}, class
 		}
 		if ctx.Err() != nil {
 			return model.WalletStats{}, ErrorUnreachable
 		}
 		if attempt+1 < s.cfg.MaxAttempts {
-			atomic.AddUint64(&pc.retries, 1)
+			pc.retries.Add(1)
 			select {
 			case <-s.clock.After(backoff):
 			case <-ctx.Done():
@@ -661,7 +659,7 @@ func (s *Scheduler) fetchWithRetry(ctx context.Context, poolName, wallet string)
 			}
 		}
 	}
-	atomic.AddUint64(&pc.failed, 1)
+	pc.failed.Add(1)
 	return model.WalletStats{}, class
 }
 
@@ -783,13 +781,13 @@ func (s *Scheduler) Stats() Stats {
 		pc := s.pools[name]
 		st.Pools = append(st.Pools, PoolStats{
 			Pool:          name,
-			Requests:      atomic.LoadUint64(&pc.requests),
-			OK:            atomic.LoadUint64(&pc.ok),
-			UnknownWallet: atomic.LoadUint64(&pc.unknownWallet),
-			OpaquePool:    atomic.LoadUint64(&pc.opaquePool),
-			Retries:       atomic.LoadUint64(&pc.retries),
-			Failed:        atomic.LoadUint64(&pc.failed),
-			Throttled:     time.Duration(atomic.LoadInt64(&pc.throttledNanos)),
+			Requests:      pc.requests.Load(),
+			OK:            pc.ok.Load(),
+			UnknownWallet: pc.unknownWallet.Load(),
+			OpaquePool:    pc.opaquePool.Load(),
+			Retries:       pc.retries.Load(),
+			Failed:        pc.failed.Load(),
+			Throttled:     time.Duration(pc.throttledNanos.Load()),
 		})
 	}
 	return st

@@ -378,6 +378,28 @@ func (c *collector) applyProbedActivity(wallet string, act profit.WalletActivity
 	c.recordProfitTS(wallet, act.TotalXMR-prev.xmr)
 }
 
+// reconcileProbeCache re-applies the cached activity of every given wallet.
+// A probe lands in the cache before its update reaches the collector, so a
+// checkpoint or a Finish can run between the two; the deltas make
+// already-applied entries no-ops. A non-zero delta records series points, so
+// the recording clock is stamped first — otherwise they would land in a
+// bucket at the zero time (year 1). A no-op without a prober. Called under
+// e.mu.
+func (c *collector) reconcileProbeCache(wallets []string) {
+	p := c.e.cfg.Prober
+	if p == nil {
+		return
+	}
+	if c.e.ts != nil {
+		c.now = c.e.cfg.Timeseries.Clock()
+	}
+	for _, w := range wallets {
+		if ent, ok := p.Peek(w); ok {
+			c.applyProbedActivity(w, ent.Activity)
+		}
+	}
+}
+
 // recordProfitTS folds one wallet's priced-XMR delta into the longitudinal
 // series: the ecosystem running-total gauge, and the timeline of the
 // campaign the wallet belongs to. Zero deltas record nothing, which is what

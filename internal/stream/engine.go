@@ -557,6 +557,7 @@ func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 	if err := e.runCtx.Err(); err != nil {
 		return nil, fmt.Errorf("stream: ingestion aborted: %w", err)
 	}
+	var wallets []string
 	if p := e.cfg.Prober; p != nil {
 		// The probe cache is the profit source: finalize only once every
 		// wallet the collector enqueued has been probed, so the final figures
@@ -565,13 +566,17 @@ func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 		// when the TTL is shorter than a full crawl and the sweep keeps the
 		// queue from ever emptying.
 		e.mu.Lock()
-		wallets := sortedKeys(e.col.seenWallets)
+		wallets = sortedKeys(e.col.seenWallets)
 		e.mu.Unlock()
 		if err := p.WaitCached(ctx, wallets); err != nil {
 			return nil, fmt.Errorf("stream: waiting for probe convergence: %w", err)
 		}
 	}
 	e.mu.Lock()
+	// The last probes may be cached with their updates still on the way;
+	// those would arrive after finalize and be dropped, leaving the live
+	// series one delta short of what a restart reconciles.
+	e.col.reconcileProbeCache(wallets)
 	res := e.col.finalize()
 	// Republish so the read tier serves the sealed figures: finalize left
 	// every cached entry derived from the final per-campaign pricing, so this

@@ -319,22 +319,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 
 	if p := e.cfg.Prober; p != nil {
 		p.RestoreCache(st.Probe)
-		// A checkpoint captures the engine state and the probe cache under
-		// different locks: a probe that completed between the two captures is
-		// in the cache but not yet in the priced totals. Reconcile by
-		// re-applying every cached activity for a seen wallet — deltas, so
-		// already-applied entries are no-ops (this runs after the counter
-		// restore above, which it adjusts). A non-zero delta records series
-		// points, so stamp the recording clock first — otherwise they would
-		// land in a bucket at the zero time (year 1).
-		if e.ts != nil {
-			c.now = e.cfg.Timeseries.Clock()
-		}
-		for _, w := range st.SeenWallets {
-			if ent, ok := p.Peek(w); ok {
-				c.applyProbedActivity(w, ent.Activity)
-			}
-		}
+		// The checkpoint captured the engine state and the probe cache under
+		// different locks. This runs after the counter restore above, which
+		// it adjusts.
+		c.reconcileProbeCache(st.SeenWallets)
 		// Resume the crawl where it stopped: exactly the seen wallets that
 		// were never probed (in flight or queued at the crash), carry a probe
 		// error, or have outlived the TTL.

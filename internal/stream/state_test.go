@@ -12,6 +12,7 @@ import (
 
 	"cryptomining/internal/core"
 	"cryptomining/internal/ecosim"
+	"cryptomining/internal/probe"
 	"cryptomining/internal/stream"
 )
 
@@ -35,23 +36,27 @@ func waitProcessed(t *testing.T, eng *stream.Engine, n int64) {
 }
 
 // TestEngineStateRoundtripMidStream interrupts an ingestion at several
-// points, round-trips the engine state through gob into a fresh engine, and
-// requires (a) the serialized state to be byte-stable across the restore
-// and (b) both engines, fed the identical remainder, to finish with
-// bit-identical results.
+// points, round-trips the engine state (probe cache included) through gob
+// into a fresh engine, and requires (a) the serialized state to be
+// byte-stable across the restore and (b) both engines, fed the identical
+// remainder, to finish with bit-identical results.
 func TestEngineStateRoundtripMidStream(t *testing.T) {
 	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.2))
 	hashes := u.Corpus.Hashes()
 	ctx := context.Background()
-	mkCfg := func(shards int) stream.Config {
+	mkCfg := func(shards int) (stream.Config, *probe.Scheduler) {
 		cfg := core.NewFromUniverse(u).StreamConfig()
 		cfg.Shards = shards
-		return cfg
+		cfg.Prober = probe.New(probe.Config{Source: probe.NewDirectorySource(cfg.Pools, cfg.QueryTime), Workers: 2})
+		t.Cleanup(cfg.Prober.Close)
+		return cfg, cfg.Prober
 	}
 
 	for _, cut := range []int{0, len(hashes) / 3, len(hashes)} {
-		orig := stream.New(mkCfg(4))
+		origCfg, origProber := mkCfg(4)
+		orig := stream.New(origCfg)
 		orig.Start(ctx)
+		origProber.Start(ctx)
 		for _, h := range hashes[:cut] {
 			s, _ := u.Corpus.Get(h)
 			if err := orig.Submit(ctx, s); err != nil {
@@ -59,8 +64,14 @@ func TestEngineStateRoundtripMidStream(t *testing.T) {
 			}
 		}
 		waitProcessed(t, orig, int64(cut))
+		if err := origProber.WaitConverged(ctx); err != nil {
+			t.Fatal(err)
+		}
 
 		st := orig.ExportState()
+		if cut > 0 && len(st.Probe.Entries) < 2 {
+			t.Fatalf("cut %d: %d probe cache entries, too few to pin their order", cut, len(st.Probe.Entries))
+		}
 		st.Counters.UptimeNanos = 0 // wall-clock, legitimately differs
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -71,12 +82,15 @@ func TestEngineStateRoundtripMidStream(t *testing.T) {
 			t.Fatalf("cut %d: decode: %v", cut, err)
 		}
 
-		restored := stream.New(mkCfg(2))
+		restoredCfg, restoredProber := mkCfg(2)
+		restored := stream.New(restoredCfg)
 		if err := restored.RestoreState(&decoded); err != nil {
 			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
 		restored.Start(ctx)
 
+		// Exported before the restored prober starts, so its cache is exactly
+		// the restored one.
 		re := restored.ExportState()
 		re.Counters.UptimeNanos = 0
 		var rebuf bytes.Buffer
@@ -87,6 +101,7 @@ func TestEngineStateRoundtripMidStream(t *testing.T) {
 			t.Fatalf("cut %d: state not byte-stable across restore (%d vs %d bytes)",
 				cut, buf.Len(), rebuf.Len())
 		}
+		restoredProber.Start(ctx)
 
 		for _, h := range hashes[cut:] {
 			s, _ := u.Corpus.Get(h)
@@ -118,6 +133,41 @@ func TestEngineStateRoundtripMidStream(t *testing.T) {
 				t.Fatalf("cut %d: campaign %d diverges", cut, i)
 			}
 		}
+	}
+}
+
+// TestEngineStateAckWindowRoundtrip round-trips a state whose submissions
+// were acked out of order. A quiesced engine never has such a window, so
+// the mid-stream test above cannot pin its order; the window is set by hand
+// and must re-export byte-identically.
+func TestEngineStateAckWindowRoundtrip(t *testing.T) {
+	cfg := core.NewFromUniverse(ecosim.Generate(ecosim.SmallConfig().Scale(0.1))).StreamConfig()
+	encode := func(st *stream.EngineState) []byte {
+		st.Counters.UptimeNanos = 0
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	st := stream.New(cfg).ExportState()
+	st.AckLow = 3
+	for seq := uint64(5); seq < 40; seq += 2 {
+		st.AckAbove = append(st.AckAbove, seq)
+	}
+	// Restore recounts submissions from the window.
+	st.Counters.Submitted = int64(st.AckLow-1) + int64(len(st.AckAbove))
+	want := encode(st)
+	var decoded stream.EngineState
+	if err := gob.NewDecoder(bytes.NewReader(want)).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	restored := stream.New(cfg)
+	if err := restored.RestoreState(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(restored.ExportState()); !bytes.Equal(got, want) {
+		t.Fatalf("ack window not byte-stable across restore (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -8,7 +8,8 @@
 #
 #   scripts/cryptolint.sh              # analyze ./... of the main module
 #   scripts/cryptolint.sh ./internal/api/
-#   scripts/cryptolint.sh -list        # show the passes and their flags
+#   scripts/cryptolint.sh -list        # show the four passes
+#   scripts/cryptolint.sh -wirecompat.write ./pkg/apiv1/   # regenerate the wire lock
 #
 # Exit status: 0 clean, 1 findings, 2 load/usage error (same as the binary).
 set -euo pipefail

@@ -8,9 +8,9 @@
 //
 // or via the wrapper: scripts/cryptolint.sh [patterns...]
 //
-// Pass-specific knobs are exposed as -<analyzer>.<flag>; -list prints the
-// registered analyzers. Exit codes: 0 clean, 1 findings, 2 usage or load
-// failure (e.g. the tree does not type-check).
+// The one pass setting, -wirecompat.write, regenerates the wire schema
+// lock; -list prints the registered analyzers. Exit codes: 0 clean, 1
+// findings, 2 usage or load failure (e.g. the tree does not type-check).
 package main
 
 import (
@@ -22,26 +22,16 @@ import (
 
 	"cryptomining/tools/analyzers/analysis"
 	"cryptomining/tools/analyzers/load"
-	"cryptomining/tools/analyzers/passes/atomicmix"
-	"cryptomining/tools/analyzers/passes/canonicalexport"
 	"cryptomining/tools/analyzers/passes/directclock"
-	"cryptomining/tools/analyzers/passes/envelope"
-	"cryptomining/tools/analyzers/passes/goroleak"
 	"cryptomining/tools/analyzers/passes/guardedby"
 	"cryptomining/tools/analyzers/passes/lockorder"
-	"cryptomining/tools/analyzers/passes/metricconv"
 	"cryptomining/tools/analyzers/passes/wirecompat"
 )
 
 var analyzers = sortedAnalyzers(
-	atomicmix.Analyzer,
-	canonicalexport.Analyzer,
 	directclock.Analyzer,
-	envelope.Analyzer,
-	goroleak.Analyzer,
 	guardedby.Analyzer,
 	lockorder.Analyzer,
-	metricconv.Analyzer,
 	wirecompat.Analyzer,
 )
 

@@ -8,14 +8,9 @@ import (
 // golden is the full -list roster: adding, removing or renaming a pass must
 // show up here, which is what lets the CI self-test assert the suite it
 // believes it is running is the suite actually registered.
-const golden = `atomicmix        a field accessed through sync/atomic must never be accessed by plain load/store elsewhere
-canonicalexport  flag map iteration that emits data in export/serialization functions without a subsequent sort
-directclock      forbid direct time.Now/Since/NewTimer/... in packages that expose a Clock seam
-envelope         route API errors through the envelope helper and require Allow on 405 responses
-goroleak         every go statement in long-lived packages needs a reachable shutdown edge
+const golden = `directclock      forbid direct time.Now/Since/NewTimer/... in packages that expose a Clock seam
 guardedby        annotated struct fields may only be accessed with their declared mutex held on every path
-lockorder        forbid engine-mutex acquisition on GET read paths and out-of-order timeseries locking
-metricconv       enforce metric naming (snake_case, _total/_seconds/_bytes) and declared bucket ladders at obs.Registry call sites
+lockorder        forbid engine-mutex acquisition on GET read paths
 wirecompat       wire-package fields recorded in the schema lock may never be removed, renamed or retyped
 `
 

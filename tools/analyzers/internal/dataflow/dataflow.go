@@ -1,7 +1,6 @@
-// Package dataflow is the small intra-module dataflow layer under the
-// cryptolint v2 passes: a reference-precise function graph (direct calls and
-// function values, across packages when the driver supplies the module
-// closure) plus a per-function must-hold lock analysis.
+// Package dataflow is the lock analysis under the guardedby pass: an index
+// of a package's top-level functions plus a per-function must-hold lock
+// analysis.
 //
 // The lock analysis is deliberately intra-procedural and flow-sensitive over
 // the AST, not an SSA CFG: for each statement it tracks, per guard, whether
@@ -498,112 +497,40 @@ func namedType(t types.Type) *types.Named {
 	}
 }
 
-// FuncNode is one top-level function declaration in the graph.
+// FuncNode is one top-level function declaration.
 type FuncNode struct {
 	Decl *ast.FuncDecl
 	Obj  *types.Func
-	Pkg  *types.Package
-	// Callees are the functions this body references (direct calls, method
-	// values and function values alike), restricted to graph members.
-	Callees []*types.Func
 }
 
-// Graph is a reference-precise function graph over one or more packages
-// sharing a type-checker universe.
-type Graph struct {
+// Funcs indexes the top-level functions of one package.
+type Funcs struct {
 	Nodes []*FuncNode
 	Index map[*types.Func]*FuncNode
 }
 
-// Source pairs one package's syntax with its type information — the minimal
-// slice of load.Package / analysis.ModulePkg the graph needs. All sources of
-// one graph must share a type-checker universe for edges to resolve.
-type Source struct {
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// NewGraph builds the graph over the given packages. Edges point at any
-// function referenced in a body, whichever package declares it, but only
-// members of the graph become edge targets — references to the standard
-// library are dropped.
-func NewGraph(srcs []Source) *Graph {
-	g := &Graph{Index: map[*types.Func]*FuncNode{}}
-	for _, p := range srcs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				n := &FuncNode{Decl: fd, Obj: obj, Pkg: p.Pkg}
-				g.Nodes = append(g.Nodes, n)
-				g.Index[obj] = n
+// IndexFuncs indexes every top-level function with a body in files.
+func IndexFuncs(files []*ast.File, info *types.Info) *Funcs {
+	fs := &Funcs{Index: map[*types.Func]*FuncNode{}}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
+				n := &FuncNode{Decl: fd, Obj: obj}
+				fs.Nodes = append(fs.Nodes, n)
+				fs.Index[obj] = n
 			}
 		}
 	}
-	for _, p := range srcs {
-		info := p.Info
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				n := g.Index[obj]
-				ast.Inspect(fd.Body, func(node ast.Node) bool {
-					if id, ok := node.(*ast.Ident); ok {
-						if fn, ok := info.Uses[id].(*types.Func); ok && g.Index[fn] != nil {
-							n.Callees = append(n.Callees, fn)
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return g
-}
-
-// Reachable returns every node reachable from the roots (roots included) over
-// reference edges, in discovery order.
-func (g *Graph) Reachable(roots []*types.Func) []*FuncNode {
-	seen := map[*types.Func]bool{}
-	var out []*FuncNode
-	var walk func(fn *types.Func)
-	walk = func(fn *types.Func) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		n, ok := g.Index[fn]
-		if !ok {
-			return
-		}
-		out = append(out, n)
-		for _, c := range n.Callees {
-			walk(c)
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return out
+	return fs
 }
 
 // IsConstructor reports whether a function name follows the repository's
 // constructor convention (New*, new*): construction happens before the value
-// escapes to other goroutines, so guarded-field and atomic-field checks
-// exempt those bodies.
+// escapes to other goroutines, so guarded-field checks exempt those bodies.
 func IsConstructor(name string) bool {
 	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }

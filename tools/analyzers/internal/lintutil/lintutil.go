@@ -118,13 +118,12 @@ func FuncObject(info *types.Info, expr ast.Expr) *types.Func {
 	return nil
 }
 
-// PkgMatches reports whether pkgPath matches any of the comma-separated path
-// fragments (plain substring match, so defaults like "internal/stream" also
-// match testdata stand-ins when tests configure shorter fragments).
-func PkgMatches(pkgPath, fragments string) bool {
-	for _, frag := range strings.Split(fragments, ",") {
-		frag = strings.TrimSpace(frag)
-		if frag != "" && strings.Contains(pkgPath, frag) {
+// PkgMatches reports whether pkgPath contains any of the path fragments
+// (plain substring match, so "internal/stream" also matches the testdata
+// stand-in laid out under that path).
+func PkgMatches(pkgPath string, fragments ...string) bool {
+	for _, frag := range fragments {
+		if strings.Contains(pkgPath, frag) {
 			return true
 		}
 	}
@@ -179,14 +178,4 @@ func ConstString(info *types.Info, expr ast.Expr) (string, bool) {
 		return "", false
 	}
 	return constant.StringVal(tv.Value), true
-}
-
-// ConstInt evaluates expr as a compile-time integer constant.
-func ConstInt(info *types.Info, expr ast.Expr) (int64, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
-	return v, exact
 }

@@ -89,13 +89,13 @@ func TestDirectives(t *testing.T) {
 }
 
 func TestPkgMatches(t *testing.T) {
-	if !PkgMatches("cryptomining/internal/stream", "internal/stream,internal/api") {
+	if !PkgMatches("cryptomining/internal/stream", "internal/stream", "internal/api") {
 		t.Error("expected fragment match")
 	}
-	if PkgMatches("cryptomining/internal/obs", "internal/stream,internal/api") {
+	if PkgMatches("cryptomining/internal/obs", "internal/stream", "internal/api") {
 		t.Error("unexpected fragment match")
 	}
-	if PkgMatches("anything", "") {
+	if PkgMatches("anything") {
 		t.Error("empty fragment list matches nothing")
 	}
 }

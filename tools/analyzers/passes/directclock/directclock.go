@@ -40,7 +40,11 @@ var clockFuncs = map[string]bool{
 	"Tick":      true,
 }
 
-var guardedPkgs string
+// guardedPkgs are the package-path fragments the invariant guards.
+var guardedPkgs = []string{
+	"internal/stream", "internal/probe", "internal/timeseries", "internal/sandbox", "internal/feeds",
+	"internal/pool", "internal/persist", "internal/api", "internal/scenario",
+}
 
 const name = "directclock"
 
@@ -50,14 +54,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func init() {
-	Analyzer.Flags.StringVar(&guardedPkgs, "pkgs",
-		"internal/stream,internal/probe,internal/timeseries,internal/sandbox,internal/feeds,internal/pool,internal/persist,internal/api,internal/scenario",
-		"comma-separated package-path fragments the invariant guards")
-}
-
 func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgMatches(pass.Pkg.Path(), guardedPkgs) {
+	if !lintutil.PkgMatches(pass.Pkg.Path(), guardedPkgs...) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {

@@ -7,8 +7,8 @@
 // may only be read or written in functions that hold that mutex on every
 // path from entry — either by locking it directly (per the dataflow
 // must-hold walker) or by being called exclusively from functions that hold
-// it (a greatest-fixpoint caller-holds propagation over the package call
-// graph, the PR 8 lockorder graph generalized).
+// it (a greatest-fixpoint caller-holds propagation over the package's call
+// sites).
 //
 // Deliberate scope and exemptions:
 //   - intra-package: guard and fields must live in the analyzed package;
@@ -59,7 +59,7 @@ type access struct {
 	st    dataflow.State
 }
 
-// callsite is one resolvable call between graph members.
+// callsite is one resolvable call between indexed functions.
 type callsite struct {
 	from *dataflow.FuncNode
 	to   *types.Func
@@ -95,24 +95,23 @@ func run(pass *analysis.Pass) (any, error) {
 		guards[g] = true
 	}
 
-	graph := dataflow.NewGraph([]dataflow.Source{{Files: pass.Files, Pkg: pass.Pkg, Info: pass.TypesInfo}})
-	escaped := escapedFuncs(pass, graph)
+	funcs := dataflow.IndexFuncs(pass.Files, pass.TypesInfo)
+	escaped := escapedFuncs(pass, funcs)
 
 	for guard := range guards {
-		checkGuard(pass, graph, guard, annotated, escaped, report)
+		checkGuard(pass, funcs, guard, annotated, escaped, report)
 	}
 	return nil, nil
 }
 
 // checkGuard runs the must-hold walker for one guard over every function,
 // resolves caller-holds by fixpoint, and reports unguarded accesses.
-func checkGuard(pass *analysis.Pass, graph *dataflow.Graph, guard dataflow.Guard,
+func checkGuard(pass *analysis.Pass, funcs *dataflow.Funcs, guard dataflow.Guard,
 	annotated guardOf, escaped map[*types.Func]bool, report func(token.Pos, string, ...any)) {
 
 	var accesses []access
 	sites := map[*types.Func][]callsite{}
-	for _, n := range graph.Nodes {
-		n := n
+	for _, n := range funcs.Nodes {
 		dataflow.WalkFunc(pass.TypesInfo, n.Decl.Body, guard, func(node ast.Node, st dataflow.State) {
 			switch e := node.(type) {
 			case *ast.Ident:
@@ -124,7 +123,7 @@ func checkGuard(pass *analysis.Pass, graph *dataflow.Graph, guard dataflow.Guard
 					accesses = append(accesses, access{fn: n, pos: e.Pos(), field: obj, guard: g, st: st})
 				}
 			case *ast.CallExpr:
-				if fn := lintutil.Callee(pass.TypesInfo, e); fn != nil && graph.Index[fn] != nil {
+				if fn := lintutil.Callee(pass.TypesInfo, e); fn != nil && funcs.Index[fn] != nil {
 					sites[fn] = append(sites[fn], callsite{from: n, to: fn, st: st})
 				}
 			}
@@ -136,7 +135,7 @@ func checkGuard(pass *analysis.Pass, graph *dataflow.Graph, guard dataflow.Guard
 	// functions and escaped function values have invisible callers, so they
 	// are never eligible.
 	held := map[*types.Func]bool{}
-	for _, n := range graph.Nodes {
+	for _, n := range funcs.Nodes {
 		held[n.Obj] = len(sites[n.Obj]) > 0 && !n.Obj.Exported() && !escaped[n.Obj]
 	}
 	for changed := true; changed; {
@@ -175,11 +174,11 @@ func entryHeld(fn *dataflow.FuncNode, held map[*types.Func]bool) bool {
 	return dataflow.IsConstructor(fn.Obj.Name()) || held[fn.Obj]
 }
 
-// escapedFuncs finds graph members whose value is taken anywhere in the
+// escapedFuncs finds indexed functions whose value is taken anywhere in the
 // package other than as the callee of a direct call — callbacks, stored
 // handlers, `go f` and `defer f` targets: all of them may be invoked with an
 // unknowable lock state.
-func escapedFuncs(pass *analysis.Pass, graph *dataflow.Graph) map[*types.Func]bool {
+func escapedFuncs(pass *analysis.Pass, funcs *dataflow.Funcs) map[*types.Func]bool {
 	calleeIdents := map[*ast.Ident]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
@@ -203,7 +202,7 @@ func escapedFuncs(pass *analysis.Pass, graph *dataflow.Graph) map[*types.Func]bo
 			if !ok || calleeIdents[id] {
 				return true
 			}
-			if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && graph.Index[fn] != nil {
+			if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && funcs.Index[fn] != nil {
 				escaped[fn] = true
 			}
 			return true
@@ -216,7 +215,7 @@ func escapedFuncs(pass *analysis.Pass, graph *dataflow.Graph) map[*types.Func]bo
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
 			if g, ok := node.(*ast.GoStmt); ok {
-				if fn := lintutil.Callee(pass.TypesInfo, g.Call); fn != nil && graph.Index[fn] != nil {
+				if fn := lintutil.Callee(pass.TypesInfo, g.Call); fn != nil && funcs.Index[fn] != nil {
 					escaped[fn] = true
 				}
 			}

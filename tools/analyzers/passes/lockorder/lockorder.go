@@ -1,18 +1,18 @@
-// Package lockorder mechanically enforces the repository's documented lock
-// hierarchy around the streaming engine:
+// Package lockorder mechanically enforces the read side of the repository's
+// lock hierarchy around the streaming engine:
 //
-//  1. Read path (PR 7 invariant): no function reachable from an HTTP GET
-//     handler may acquire the engine's collector mutex — GET handlers serve
-//     exclusively from the published snapshot. Calls into the engine from the
-//     read path are restricted to the declared read-safe method set.
+//  1. Read path: no function reachable from an HTTP GET handler may acquire
+//     the engine's collector mutex — GET handlers serve exclusively from the
+//     published snapshot. Calls into the engine from the read path are
+//     restricted to the declared read-safe method set.
 //  2. Read-safe honesty: inside the engine's own package, the declared
 //     read-safe methods must not (transitively, within the package) acquire
 //     the collector mutex — otherwise rule 1's allowlist would rot silently.
-//  3. Layering: the timeseries package must never import the engine package.
-//     The store's RWMutex sits strictly below the engine mutex; an upward
-//     import is how a lock-order inversion would enter.
-//  4. Acquisition order: within one function, the engine mutex must never be
-//     acquired after a timeseries-store lock.
+//
+// The rest of the hierarchy needs no pass: the timeseries store cannot
+// import the engine package (the engine imports it, so that is a cycle) and
+// no function can lock both mutexes directly (both are unexported fields in
+// different packages).
 //
 // The call graph is intra-package and name-precise (edges follow
 // types.Object identity, including method values), but conservative about
@@ -32,42 +32,22 @@ import (
 	"cryptomining/tools/analyzers/internal/lintutil"
 )
 
-var (
-	engineRef  string
-	storeRef   string
-	mutexField string
-	readsafe   string
+const (
+	name = "lockorder"
+	// enginePkg and engineType name the engine; its mutexField tops the lock
+	// order.
+	enginePkg  = "internal/stream"
+	engineType = "Engine"
+	mutexField = "mu"
+	// readsafe lists the engine methods GET handlers may call (verified
+	// mutex-free by rule 2).
+	readsafe = "CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline"
 )
-
-const name = "lockorder"
 
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc:  "forbid engine-mutex acquisition on GET read paths and out-of-order timeseries locking",
+	Doc:  "forbid engine-mutex acquisition on GET read paths",
 	Run:  run,
-}
-
-func init() {
-	Analyzer.Flags.StringVar(&engineRef, "engine", "internal/stream.Engine",
-		"engine type as <pkg-fragment>.<TypeName>; its mutex tops the lock order")
-	Analyzer.Flags.StringVar(&storeRef, "store", "internal/timeseries.Store",
-		"timeseries store type as <pkg-fragment>.<TypeName>; its lock sits strictly below the engine mutex")
-	Analyzer.Flags.StringVar(&mutexField, "mutex", "mu",
-		"name of the mutex field on both types")
-	Analyzer.Flags.StringVar(&readsafe, "readsafe",
-		"CurrentView,Stats,Subscribe,Timeseries,CampaignTimeline",
-		"engine methods GET handlers may call (verified mutex-free by rule 2)")
-}
-
-// typeRef is a parsed <pkg-fragment>.<TypeName> flag.
-type typeRef struct{ pkgFrag, typeName string }
-
-func parseRef(s string) typeRef {
-	i := strings.LastIndex(s, ".")
-	if i < 0 {
-		return typeRef{"", s}
-	}
-	return typeRef{s[:i], s[i+1:]}
 }
 
 // funcNode is one top-level function in the package under analysis.
@@ -79,8 +59,6 @@ type funcNode struct {
 	callees []*types.Func
 	// engineLocks are positions of direct <engine>.mu.Lock()/RLock() calls.
 	engineLocks []token.Pos
-	// storeLocks are positions of direct <store>.mu.Lock()/RLock() calls.
-	storeLocks []token.Pos
 	// engineCalls are calls to methods on the engine type, wherever declared.
 	engineCalls []engineCall
 	// getRoots are package-local functions this body registers as GET
@@ -94,13 +72,9 @@ type engineCall struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	engine := parseRef(engineRef)
-	store := parseRef(storeRef)
 	safe := map[string]bool{}
 	for _, m := range strings.Split(readsafe, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			safe[m] = true
-		}
+		safe[m] = true
 	}
 
 	dirs := map[*ast.File]*lintutil.Directives{}
@@ -122,33 +96,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// Rule 3: layering. The store package must not import the engine package.
-	if store.pkgFrag != "" && strings.Contains(pass.Pkg.Path(), store.pkgFrag) {
-		for _, f := range pass.Files {
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if engine.pkgFrag != "" && strings.Contains(path, engine.pkgFrag) {
-					report(imp.Pos(),
-						"timeseries package imports the engine package %q: the store lock sits below the engine mutex, so this layering inversion invites deadlock", path)
-				}
-			}
-		}
-	}
-
-	nodes, index := buildGraph(pass, engine, store)
-
-	// Rule 4: acquisition order within one function.
-	for _, n := range nodes {
-		for _, ep := range n.engineLocks {
-			for _, sp := range n.storeLocks {
-				if sp < ep {
-					report(ep,
-						"engine mutex acquired after the timeseries-store lock in %s: the documented order is engine mutex strictly above the store lock", n.obj.Name())
-					break
-				}
-			}
-		}
-	}
+	nodes, index := buildGraph(pass)
 
 	// Rule 1: nothing reachable from a GET handler may lock the engine.
 	roots := map[*types.Func]bool{}
@@ -167,7 +115,7 @@ func run(pass *analysis.Pass) (any, error) {
 				if !safe[ec.name] {
 					report(ec.pos,
 						"GET read path (handler %s) calls (%s).%s, which is not in the read-safe set {%s}: it may acquire the engine mutex and stall ingestion",
-						root.Name(), engine.typeName, ec.name, readsafe)
+						root.Name(), engineType, ec.name, readsafe)
 				}
 			}
 		}
@@ -175,12 +123,9 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Rule 2: declared read-safe methods must really be mutex-free. Only
 	// checkable in the engine's own package.
-	if engine.pkgFrag != "" && strings.Contains(pass.Pkg.Path(), engine.pkgFrag) {
+	if lintutil.PkgMatches(pass.Pkg.Path(), enginePkg) {
 		for _, n := range nodes {
-			if n.decl.Recv == nil || !safe[n.obj.Name()] {
-				continue
-			}
-			if !methodOnType(n.obj, engine) {
+			if n.decl.Recv == nil || !safe[n.obj.Name()] || !onEngine(n.obj) {
 				continue
 			}
 			for _, m := range reachable(index, n.obj) {
@@ -197,7 +142,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 // buildGraph indexes every top-level function with its lock sites, engine
 // calls, local references and GET-handler registrations.
-func buildGraph(pass *analysis.Pass, engine, store typeRef) ([]*funcNode, map[*types.Func]*funcNode) {
+func buildGraph(pass *analysis.Pass) ([]*funcNode, map[*types.Func]*funcNode) {
 	var nodes []*funcNode
 	index := map[*types.Func]*funcNode{}
 	for _, file := range pass.Files {
@@ -214,7 +159,7 @@ func buildGraph(pass *analysis.Pass, engine, store typeRef) ([]*funcNode, map[*t
 			ast.Inspect(fd.Body, func(node ast.Node) bool {
 				switch e := node.(type) {
 				case *ast.CallExpr:
-					n.scanCall(pass, e, engine, store)
+					n.scanCall(pass, e)
 				case *ast.Ident:
 					if fn, ok := pass.TypesInfo.Uses[e].(*types.Func); ok && fn.Pkg() == pass.Pkg {
 						n.callees = append(n.callees, fn)
@@ -232,19 +177,14 @@ func buildGraph(pass *analysis.Pass, engine, store typeRef) ([]*funcNode, map[*t
 
 // scanCall classifies one call expression: lock acquisition, engine method
 // call, or GET-handler registration.
-func (n *funcNode) scanCall(pass *analysis.Pass, call *ast.CallExpr, engine, store typeRef) {
+func (n *funcNode) scanCall(pass *analysis.Pass, call *ast.CallExpr) {
 	if fn := lintutil.Callee(pass.TypesInfo, call); fn != nil {
 		if name := fn.Name(); name == "Lock" || name == "RLock" {
-			if recv := lockReceiver(pass.TypesInfo, call); recv != nil {
-				if lintutil.IsTypeIn(recv, engine.typeName, engine.pkgFrag) {
-					n.engineLocks = append(n.engineLocks, call.Pos())
-				}
-				if lintutil.IsTypeIn(recv, store.typeName, store.pkgFrag) {
-					n.storeLocks = append(n.storeLocks, call.Pos())
-				}
+			if recv := lockReceiver(pass.TypesInfo, call); recv != nil && lintutil.IsTypeIn(recv, engineType, enginePkg) {
+				n.engineLocks = append(n.engineLocks, call.Pos())
 			}
 		}
-		if methodOnType(fn, engine) {
+		if onEngine(fn) {
 			n.engineCalls = append(n.engineCalls, engineCall{pos: call.Pos(), name: fn.Name()})
 		}
 	}
@@ -314,9 +254,9 @@ func lockReceiver(info *types.Info, call *ast.CallExpr) types.Type {
 	return tv.Type
 }
 
-// methodOnType reports whether fn is a method on the referenced type.
-func methodOnType(fn *types.Func, ref typeRef) bool {
-	return lintutil.MethodOn(fn, ref.typeName, ref.pkgFrag)
+// onEngine reports whether fn is a method on the engine type.
+func onEngine(fn *types.Func) bool {
+	return lintutil.MethodOn(fn, engineType, enginePkg)
 }
 
 // reachable returns every node reachable from root (inclusive) over

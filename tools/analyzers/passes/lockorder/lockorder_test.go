@@ -7,33 +7,8 @@ import (
 	"cryptomining/tools/analyzers/passes/lockorder"
 )
 
-// configure points the type-reference flags at the testdata stand-ins,
-// restoring the production defaults afterwards.
-func configure(t *testing.T, engine, store string) {
-	t.Helper()
-	prevEngine := lockorder.Analyzer.Flags.Lookup("engine").Value.String()
-	prevStore := lockorder.Analyzer.Flags.Lookup("store").Value.String()
-	if err := lockorder.Analyzer.Flags.Set("engine", engine); err != nil {
-		t.Fatal(err)
-	}
-	if err := lockorder.Analyzer.Flags.Set("store", store); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		lockorder.Analyzer.Flags.Set("engine", prevEngine)
-		lockorder.Analyzer.Flags.Set("store", prevStore)
-	})
-}
-
-// TestReadPathAndOrder covers rules 1, 2 and 4 on a single package holding
-// both the engine and the store.
-func TestReadPathAndOrder(t *testing.T) {
-	configure(t, "enginepkg.Engine", "enginepkg.Store")
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "enginepkg")
-}
-
-// TestLayering covers rule 3: the store package importing the engine package.
-func TestLayering(t *testing.T) {
-	configure(t, "enginepkg.Engine", "tspkg.Store")
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "tspkg")
+// TestReadPath covers rules 1 and 2 on a stand-in for the engine package
+// that also registers its own GET handlers.
+func TestReadPath(t *testing.T) {
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "internal/stream")
 }

@@ -1,4 +1,4 @@
-package enginepkg
+package stream
 
 import "sync"
 
@@ -6,8 +6,6 @@ type Engine struct {
 	mu   sync.Mutex
 	view int
 }
-
-type Store struct{ mu sync.RWMutex }
 
 // CurrentView is read-safe and honest: no mutex.
 func (e *Engine) CurrentView() int { return e.view }

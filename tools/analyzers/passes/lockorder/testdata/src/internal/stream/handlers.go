@@ -1,4 +1,4 @@
-package enginepkg
+package stream
 
 import "net/http"
 

@@ -31,13 +31,15 @@ import (
 	"cryptomining/tools/analyzers/internal/lintutil"
 )
 
-const name = "wirecompat"
-
-var (
-	pkgFrag   string
-	lockPath  string
-	writeLock bool
+const (
+	name = "wirecompat"
+	// wirePkg is the package under the additive-only policy; its lock is
+	// lockFile next to its sources.
+	wirePkg  = "pkg/apiv1"
+	lockFile = "apiv1.lock.json"
 )
+
+var writeLock bool
 
 var Analyzer = &analysis.Analyzer{
 	Name: name,
@@ -46,10 +48,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func init() {
-	Analyzer.Flags.StringVar(&pkgFrag, "pkg", "pkg/apiv1",
-		"comma-separated package-path fragments of wire packages under the additive-only policy")
-	Analyzer.Flags.StringVar(&lockPath, "lock", "",
-		"schema lock file (default: apiv1.lock.json next to the package sources)")
 	Analyzer.Flags.BoolVar(&writeLock, "write", false,
 		"regenerate the schema lock from the current sources instead of checking")
 }
@@ -67,17 +65,10 @@ type Schema struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgMatches(pass.Pkg.Path(), pkgFrag) {
+	if !lintutil.PkgMatches(pass.Pkg.Path(), wirePkg) || len(pass.Files) == 0 {
 		return nil, nil
 	}
-	path := lockPath
-	if path == "" {
-		if len(pass.Files) == 0 {
-			return nil, nil
-		}
-		dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
-		path = filepath.Join(dir, "apiv1.lock.json")
-	}
+	path := filepath.Join(filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename), lockFile)
 	current := Snapshot(pass.Pkg)
 	if writeLock {
 		data, err := MarshalSchema(current)

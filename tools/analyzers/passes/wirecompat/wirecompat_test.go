@@ -11,32 +11,37 @@ import (
 	"cryptomining/tools/analyzers/passes/wirecompat"
 )
 
-func configure(t *testing.T, flag, value string) {
-	t.Helper()
-	prev := wirecompat.Analyzer.Flags.Lookup(flag).Value.String()
-	if err := wirecompat.Analyzer.Flags.Set(flag, value); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wirecompat.Analyzer.Flags.Set(flag, prev) })
-}
-
 func TestWireCompat(t *testing.T) {
-	configure(t, "pkg", "wirelock")
-	analysistest.Run(t, "testdata", wirecompat.Analyzer, "wirelock", "wirelockmissing")
+	analysistest.Run(t, "testdata", wirecompat.Analyzer, "pkg/apiv1", "missing/pkg/apiv1")
 }
 
 // TestWriteRegeneratesLock proves -write produces a lock the checking mode
-// accepts verbatim: regenerate into a temp file from the fixture sources,
-// then re-run the pass against it and require zero findings.
+// accepts verbatim: copy the fixture sources into a temp tree, regenerate
+// the lock there, then re-run the pass against it and require zero findings.
 func TestWriteRegeneratesLock(t *testing.T) {
-	pkg, errs := load.Dir(filepath.Join("testdata", "src"), "wirelock")
+	src := filepath.Join(t.TempDir(), "src")
+	dir := filepath.Join(src, "pkg", "apiv1")
+	wire, err := os.ReadFile(filepath.Join("testdata", "src", "pkg", "apiv1", "wire.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wire.go"), wire, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkg, errs := load.Dir(src, "pkg/apiv1")
 	if len(errs) > 0 {
 		t.Fatalf("load: %v", errs)
 	}
-	lock := filepath.Join(t.TempDir(), "apiv1.lock.json")
-	configure(t, "pkg", "wirelock")
-	configure(t, "lock", lock)
-	configure(t, "write", "true")
+	setWrite := func(v string) {
+		if err := wirecompat.Analyzer.Flags.Set("write", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setWrite("true")
+	t.Cleanup(func() { setWrite("false") })
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
@@ -53,7 +58,7 @@ func TestWriteRegeneratesLock(t *testing.T) {
 	if len(diags) != 0 {
 		t.Fatalf("write mode reported findings: %v", diags)
 	}
-	data, err := os.ReadFile(lock)
+	data, err := os.ReadFile(filepath.Join(dir, "apiv1.lock.json"))
 	if err != nil {
 		t.Fatalf("lock not written: %v", err)
 	}
@@ -61,7 +66,7 @@ func TestWriteRegeneratesLock(t *testing.T) {
 		t.Fatalf("lock file malformed: %q", data)
 	}
 
-	configure(t, "write", "false")
+	setWrite("false")
 	if _, err := wirecompat.Analyzer.Run(pass); err != nil {
 		t.Fatalf("check run: %v", err)
 	}
