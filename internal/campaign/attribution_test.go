@@ -101,7 +101,7 @@ func TestAddResolvesAttributionOnce(t *testing.T) {
 		}
 		ia := NewIncremental(corpus.cfg)
 		for _, in := range corpus.inputs {
-			want, _ := ia.agg.stockToolFor(&in.Record, in.Content)
+			want, _ := ia.agg.stockToolFor(&in.Record, nil, in.Content)
 			ia.Add(in)
 			held := ia.inputs[in.Record.SHA256]
 			if held.StockTool != want {
@@ -109,7 +109,7 @@ func TestAddResolvesAttributionOnce(t *testing.T) {
 			}
 			if want != "" {
 				attributed++
-				if fromRecord, _ := ia.agg.stockToolFor(&in.Record, nil); fromRecord == "" {
+				if fromRecord, _ := ia.agg.stockToolFor(&in.Record, nil, nil); fromRecord == "" {
 					byBodyOnly++
 				}
 			}

@@ -110,13 +110,9 @@ func DefaultConfig(store *osint.Store, detector *dnssim.AliasDetector, poolDomai
 // Aggregator builds the campaign graph.
 type Aggregator struct {
 	cfg Config
-	// stockSignatures caches fuzzy hashes of known stock tools.
-	stockSignatures []stockSig
-}
-
-type stockSig struct {
-	tool osint.StockTool
-	sig  fuzzyhash.Signature
+	// stockSignatures is the catalogue's fuzzy hashes as the store had them
+	// at New (computed once per store, see osint.Store.StockSignatures).
+	stockSignatures []osint.StockSignature
 }
 
 // New creates an aggregator. A nil OSINT store is replaced by an empty one.
@@ -130,14 +126,7 @@ func New(cfg Config) *Aggregator {
 	if cfg.ObfuscationRatio <= 0 {
 		cfg.ObfuscationRatio = 0.8
 	}
-	a := &Aggregator{cfg: cfg}
-	for _, tool := range cfg.OSINT.StockTools() {
-		if len(tool.Content) == 0 {
-			continue
-		}
-		a.stockSignatures = append(a.stockSignatures, stockSig{tool: tool, sig: fuzzyhash.Hash(tool.Content)})
-	}
-	return a
+	return &Aggregator{cfg: cfg, stockSignatures: cfg.OSINT.StockSignatures()}
 }
 
 // Input is one record plus optional raw content (needed only for fuzzy-hash
@@ -148,6 +137,10 @@ type Input struct {
 	// resolves the attribution once, in Add, and keeps StockTool instead: the
 	// inputs it holds and exports carry no body.
 	Content []byte
+	// Signature, when set, is the fuzzy hash of the body, computed ahead by
+	// IncrementalAggregator.Signature: a caller that has it passes it instead
+	// of Content, and the attribution compares it instead of hashing.
+	Signature *fuzzyhash.Signature
 	// StockTool is the resolved stock-tool attribution ("" for none) on the
 	// inputs an IncrementalAggregator holds; callers leave it empty.
 	StockTool string
@@ -562,15 +555,35 @@ func (a *Aggregator) enrich(in *Input) enrichment {
 	}
 	// Stock mining tools by exact hash or fuzzy hash.
 	if en.stockTool == "" {
-		en.stockTool, _ = a.stockToolFor(rec, in.Content)
+		en.stockTool, _ = a.stockToolFor(rec, in.Signature, in.Content)
 	}
 	return en
 }
 
-// stockToolFor attributes a record (or its raw content) to a stock mining
-// tool: exact hash match against the whitelist first, then fuzzy hashing
-// against the tool catalogue with the configured threshold.
-func (a *Aggregator) stockToolFor(rec *model.Record, content []byte) (string, bool) {
+// stockToolFor attributes a record to a stock mining tool: exact hash match
+// against the whitelist first, then the fuzzy hash of its body — sig, or
+// content hashed here when sig is nil — against the tool catalogue with the
+// configured threshold.
+func (a *Aggregator) stockToolFor(rec *model.Record, sig *fuzzyhash.Signature, content []byte) (string, bool) {
+	if tool, ok := a.exactStockTool(rec); ok {
+		return tool, true
+	}
+	if sig == nil {
+		sig = a.signature(rec, content)
+	}
+	if sig != nil {
+		for _, s := range a.stockSignatures {
+			if fuzzyhash.Match(*sig, s.Sig, a.cfg.FuzzyThreshold) {
+				return s.Name, true
+			}
+		}
+	}
+	return "", false
+}
+
+// exactStockTool attributes a record by hash: the tool extraction named, or
+// the record's own or a dropped hash in the catalogue.
+func (a *Aggregator) exactStockTool(rec *model.Record) (string, bool) {
 	if rec.StockTool != "" {
 		return rec.StockTool, true
 	}
@@ -582,13 +595,20 @@ func (a *Aggregator) stockToolFor(rec *model.Record, content []byte) (string, bo
 			return tool.Name, true
 		}
 	}
-	if len(content) > 0 && len(a.stockSignatures) > 0 {
-		sig := fuzzyhash.Hash(content)
-		for _, s := range a.stockSignatures {
-			if fuzzyhash.Match(sig, s.sig, a.cfg.FuzzyThreshold) {
-				return s.tool.Name, true
-			}
-		}
-	}
 	return "", false
+}
+
+// signature returns the fuzzy hash stockToolFor compares a record's body by,
+// or nil when it compares none: the catalogue holds no signature, the body is
+// empty, or an exact hash attributes the record. It reads only the catalogue
+// and the store, so it is safe for concurrent use.
+func (a *Aggregator) signature(rec *model.Record, content []byte) *fuzzyhash.Signature {
+	if len(content) == 0 || len(a.stockSignatures) == 0 {
+		return nil
+	}
+	if _, exact := a.exactStockTool(rec); exact {
+		return nil
+	}
+	sig := fuzzyhash.Hash(content)
+	return &sig
 }

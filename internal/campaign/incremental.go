@@ -3,6 +3,7 @@ package campaign
 import (
 	"slices"
 
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/graph"
 	"cryptomining/internal/model"
 )
@@ -253,8 +254,9 @@ func (ia *IncrementalAggregator) union(a, b graph.NodeID) graph.NodeID {
 // component's record view.
 //
 // The input's enrichment is resolved here, once (see Aggregator.enrich), and
-// the body is not kept: the stock-tool attribution is the only thing read
-// from it.
+// neither the body nor its signature is kept: the stock-tool attribution is
+// the only thing read from them. An input that carries a Signature is not
+// hashed here.
 func (ia *IncrementalAggregator) Add(in Input) {
 	rec := &in.Record
 	if rec.SHA256 == "" {
@@ -285,12 +287,22 @@ func (ia *IncrementalAggregator) Add(in Input) {
 }
 
 // resolved returns the aggregator's own copy of an input: enrichment
-// resolved, attribution recorded, body dropped. AV labels for the sample must
-// have been set before.
+// resolved, attribution recorded, body and signature dropped. AV labels for
+// the sample must have been set before.
 func (ia *IncrementalAggregator) resolved(in Input) *Input {
 	en := ia.agg.enrich(&in)
-	in.resolved, in.StockTool, in.Content = &en, en.stockTool, nil
+	in.resolved, in.StockTool, in.Content, in.Signature = &en, en.stockTool, nil, nil
 	return &in
+}
+
+// Signature returns the fuzzy hash Add compares a record's body by, for the
+// caller to pass as Input.Signature in place of the body; nil when Add
+// compares none (no catalogue signature, an empty body, or an exact-hash
+// attribution). It reads only the catalogue as loaded at NewIncremental, so it
+// may run concurrently with Add: the streaming engine calls it from its shard
+// stages.
+func (ia *IncrementalAggregator) Signature(rec *model.Record, content []byte) *fuzzyhash.Signature {
+	return ia.agg.signature(rec, content)
 }
 
 // Len returns the current number of live components (campaigns).

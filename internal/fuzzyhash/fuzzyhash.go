@@ -10,9 +10,8 @@
 package fuzzyhash
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
+	"math/bits"
 	"strings"
 )
 
@@ -46,57 +45,11 @@ func (s Signature) String() string {
 	return fmt.Sprintf("%d:%s:%s", s.BlockSize, s.Pieces, s.Pieces2)
 }
 
-// Parse parses a signature in "bs:p1:p2" form.
-func Parse(s string) (Signature, error) {
-	parts := strings.SplitN(s, ":", 3)
-	if len(parts) != 3 {
-		return Signature{}, errors.New("fuzzyhash: malformed signature, want bs:pieces:pieces2")
-	}
-	bs, err := strconv.Atoi(parts[0])
-	if err != nil || bs < minBlockSize {
-		return Signature{}, fmt.Errorf("fuzzyhash: invalid block size %q", parts[0])
-	}
-	return Signature{BlockSize: bs, Pieces: parts[1], Pieces2: parts[2]}, nil
-}
-
-// rollingHash is the Adler-like rolling hash that triggers piece boundaries.
-type rollingHash struct {
-	window [windowSize]byte
-	h1     uint32 // sum of window bytes
-	h2     uint32 // weighted sum
-	h3     uint32 // shift/xor mix
-	n      uint32 // total bytes seen
-}
-
-func (r *rollingHash) update(c byte) uint32 {
-	idx := r.n % windowSize
-	old := r.window[idx]
-	r.window[idx] = c
-	r.n++
-	r.h2 -= r.h1
-	r.h2 += windowSize * uint32(c)
-	r.h1 += uint32(c)
-	r.h1 -= uint32(old)
-	r.h3 <<= 5
-	r.h3 ^= uint32(c)
-	return r.h1 + r.h2 + r.h3
-}
-
-// pieceHash is a simple FNV-1a accumulated per piece.
-type pieceHash uint32
-
+// FNV-1a, accumulated per piece; a piece's symbol is its low six bits.
 const (
-	fnvOffset pieceHash = 2166136261
-	fnvPrime  pieceHash = 16777619
+	fnvOffset uint32 = 2166136261
+	fnvPrime  uint32 = 16777619
 )
-
-func (p pieceHash) update(c byte) pieceHash {
-	return (p ^ pieceHash(c)) * fnvPrime
-}
-
-func (p pieceHash) symbol() byte {
-	return alphabet[uint32(p)%64]
-}
 
 // chooseBlockSize picks the initial context-trigger block size for n bytes so
 // that the expected signature length is close to signatureLength.
@@ -110,47 +63,143 @@ func chooseBlockSize(n int) int {
 
 // Hash computes the CTPH signature of data. Hashing empty data is valid and
 // yields an empty-piece signature.
+//
+// When the pieces at the chosen block size come out too short (data with too
+// few trigger points), the block size is halved, as ssdeep does, until they
+// do not or the block size is minimal. One scan cuts the pieces for two such
+// retries alongside (see scan). A retry needs no second piece string either:
+// fewer than signatureLength/4 trigger points at a block size never reach
+// either piece limit, so the pieces at bs are the retry's pieces at 2·(bs/2).
 func Hash(data []byte) Signature {
 	bs := chooseBlockSize(len(data))
-	for {
-		sig := hashWithBlockSize(data, bs)
-		// If the signature came out too short (data had too few trigger
-		// points), retry with a smaller block size, as ssdeep does.
-		if len(sig.Pieces) < signatureLength/4 && bs > minBlockSize {
-			bs /= 2
-			continue
+	sc := scan(data, bs)
+	i := 1 // sc[i] holds the pieces at bs, sc[i-1] those at 2·bs
+	for sc[i].n < signatureLength/4 && bs > minBlockSize {
+		bs /= 2
+		if i++; i == len(sc) {
+			sc, i = scan(data, bs), 1
 		}
-		return sig
+	}
+	return Signature{BlockSize: bs, Pieces: sc[i].String(), Pieces2: sc[i-1].String()}
+}
+
+// pieces is one piece string under construction.
+type pieces struct {
+	buf [signatureLength]byte
+	n   int
+}
+
+func (p *pieces) String() string { return string(p.buf[:p.n]) }
+
+// add appends the symbol of piece hash h; it reports false, adding nothing,
+// once limit symbols are in (the piece then runs on to the end of the data).
+func (p *pieces) add(h uint32, limit int) bool {
+	if p.n >= limit {
+		return false
+	}
+	p.buf[p.n] = alphabet[h%64]
+	p.n++
+	return true
+}
+
+// levels is how many block sizes one scan cuts pieces at: 2·bs, bs, bs/2 and
+// bs/4, in that order.
+const levels = 4
+
+// scan runs the rolling hash over data once and cuts the pieces at block
+// sizes 2·bs (half as many symbols as the others), bs, bs/2 and bs/4; it
+// skips the block sizes below minBlockSize.
+//
+// A block size is 3·2^k, so "h mod bs == bs-1" holds exactly when the low k
+// bits of h are all ones and (h >> k) mod 3 == 2: a mask test plus a constant
+// modulus instead of a division. The triggers nest, since bs divides 2·bs:
+// every trigger at a block size is one at each smaller block size, so the
+// bytes between two triggers at the smallest block size only pay the rolling
+// hash and the piece hashes (scanner.next).
+func scan(data []byte, bs int) [levels]pieces {
+	s := scanner{p: [levels]uint32{fnvOffset, fnvOffset, fnvOffset, fnvOffset}}
+	s.top = uint(bits.TrailingZeros(uint(bs/minBlockSize))) + 1
+	s.lo = max(s.top, levels-1) - (levels - 1)
+	// next reads the byte leaving the window back from its input. The first
+	// windowSize bytes enter an empty window: they are fed from a copy behind
+	// windowSize zeros.
+	var head [2 * windowSize]byte
+	n := copy(head[windowSize:], data)
+	s.run(head[:windowSize+n])
+	s.run(data)
+	if len(data) > 0 {
+		for j := range s.out {
+			s.out[j].add(s.p[j], signatureLength)
+		}
+	}
+	return s.out
+}
+
+// scanner is one scan's state: the rolling hash over the last windowSize
+// bytes, and per block size 3·2^(top-j) the piece hash p[j] and the pieces
+// out[j]. lo is the exponent of the smallest block size cut.
+type scanner struct {
+	h1, h2, h3 uint32
+	p          [levels]uint32
+	out        [levels]pieces
+	top, lo    uint
+}
+
+// run feeds data[windowSize:] to the scanner, cutting a piece at every
+// trigger.
+func (s *scanner) run(data []byte) {
+	for i := windowSize; i < len(data); {
+		var h uint32
+		var hit bool
+		if i, h, hit = s.next(data, i); !hit {
+			return
+		}
+		// h triggers at 3·2^lo; walk up the block sizes it also triggers at.
+		for e := s.lo; e <= s.top; e++ {
+			if e > s.lo && (h>>(e-1)&1 == 0 || (h>>e)%3 != 2) {
+				break
+			}
+			j, limit := s.top-e, signatureLength-1
+			if j == 0 {
+				limit = signatureLength/2 - 1
+			}
+			if s.out[j].add(s.p[j], limit) {
+				s.p[j] = fnvOffset
+			}
+		}
 	}
 }
 
-func hashWithBlockSize(data []byte, bs int) Signature {
-	var rh rollingHash
-	p1 := fnvOffset
-	p2 := fnvOffset
-	var pieces, pieces2 []byte
-	for _, c := range data {
-		h := rh.update(c)
-		p1 = p1.update(c)
-		p2 = p2.update(c)
-		if h%uint32(bs) == uint32(bs-1) {
-			if len(pieces) < signatureLength-1 {
-				pieces = append(pieces, p1.symbol())
-				p1 = fnvOffset
-			}
-		}
-		if h%uint32(bs*2) == uint32(bs*2-1) {
-			if len(pieces2) < signatureLength/2-1 {
-				pieces2 = append(pieces2, p2.symbol())
-				p2 = fnvOffset
-			}
+// next feeds data[from:] to the hashes up to the first byte whose rolling
+// hash h triggers at the smallest block size, and returns the index after
+// that byte, h, and whether it stopped on a trigger. from is at least
+// windowSize. The state lives in locals for the loop, which keeps it in
+// registers.
+func (s *scanner) next(data []byte, from int) (to int, h uint32, hit bool) {
+	h1, h2, h3 := s.h1, s.h2, s.h3
+	p0, p1, p2, p3 := s.p[0], s.p[1], s.p[2], s.p[3]
+	lo := s.lo
+	mask := uint32(1)<<lo - 1
+	i := from
+	for ; i < len(data); i++ {
+		x, old := uint32(data[i]), uint32(data[i-windowSize])
+		h2 += windowSize*x - h1
+		h1 += x - old
+		h3 = h3<<5 ^ x
+		p0 = (p0 ^ x) * fnvPrime
+		p1 = (p1 ^ x) * fnvPrime
+		p2 = (p2 ^ x) * fnvPrime
+		p3 = (p3 ^ x) * fnvPrime
+		h = h1 + h2 + h3
+		if h&mask == mask && (h>>lo)%3 == 2 {
+			hit = true
+			i++
+			break
 		}
 	}
-	if len(data) > 0 {
-		pieces = append(pieces, p1.symbol())
-		pieces2 = append(pieces2, p2.symbol())
-	}
-	return Signature{BlockSize: bs, Pieces: string(pieces), Pieces2: string(pieces2)}
+	s.h1, s.h2, s.h3 = h1, h2, h3
+	s.p = [levels]uint32{p0, p1, p2, p3}
+	return i, h, hit
 }
 
 // Compare returns a similarity score in [0, 100] between two signatures,
@@ -188,12 +237,6 @@ func Match(a, b Signature, threshold float64) bool {
 	return Distance(a, b) <= threshold
 }
 
-// HashBytesMatch is a convenience wrapper that hashes both byte slices and
-// reports whether they match at the given threshold.
-func HashBytesMatch(a, b []byte, threshold float64) bool {
-	return Match(Hash(a), Hash(b), threshold)
-}
-
 // scoreStrings scores two piece strings. It requires a common substring of at
 // least 7 symbols (to suppress coincidental matches, as ssdeep does), then
 // maps the edit distance to a 0-100 scale.
@@ -222,22 +265,17 @@ func scoreStrings(s1, s2 string, _ int) int {
 // hasCommonSubstring reports whether s1 and s2 share a common substring of at
 // least n symbols.
 func hasCommonSubstring(s1, s2 string, n int) bool {
-	if len(s1) < n || len(s2) < n {
-		return false
-	}
-	seen := make(map[string]bool, len(s1))
 	for i := 0; i+n <= len(s1); i++ {
-		seen[s1[i:i+n]] = true
-	}
-	for i := 0; i+n <= len(s2); i++ {
-		if seen[s2[i:i+n]] {
+		if strings.Contains(s2, s1[i:i+n]) {
 			return true
 		}
 	}
 	return false
 }
 
-// editDistance computes the Levenshtein distance between a and b.
+// editDistance computes the Levenshtein distance between a and b. Piece
+// strings are at most signatureLength symbols, so its two rows live on the
+// stack.
 func editDistance(a, b string) int {
 	if len(a) == 0 {
 		return len(b)
@@ -245,8 +283,12 @@ func editDistance(a, b string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	var prevRow, curRow [signatureLength + 1]int
+	prev, cur := prevRow[:], curRow[:]
+	if len(b) > signatureLength {
+		prev, cur = make([]int, len(b)+1), make([]int, len(b)+1)
+	}
+	prev, cur = prev[:len(b)+1], cur[:len(b)+1]
 	for j := range prev {
 		prev[j] = j
 	}

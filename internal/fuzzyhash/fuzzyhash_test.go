@@ -66,8 +66,8 @@ func TestMinorModificationStillMatches(t *testing.T) {
 	if d > DefaultThreshold {
 		t.Errorf("Distance(original, minor patch) = %v, want <= %v", d, DefaultThreshold)
 	}
-	if !HashBytesMatch(original, modified, DefaultThreshold) {
-		t.Error("HashBytesMatch should report a match for a minor patch")
+	if !Match(ho, hm, DefaultThreshold) {
+		t.Error("Match should report a match for a minor patch")
 	}
 }
 
@@ -122,26 +122,6 @@ func TestEmptyData(t *testing.T) {
 	nonEmpty := Hash(synthBinary(20, 10000))
 	if got := Compare(h, nonEmpty); got != 0 {
 		t.Errorf("Compare(empty, non-empty) = %d, want 0", got)
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	h := Hash(synthBinary(5, 30000))
-	parsed, err := Parse(h.String())
-	if err != nil {
-		t.Fatalf("Parse(%q) error: %v", h.String(), err)
-	}
-	if parsed != h {
-		t.Errorf("Parse round trip = %+v, want %+v", parsed, h)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []string{"", "3", "3:abc", "x:abc:def", "1:abc:def", "-4:a:b"}
-	for _, c := range cases {
-		if _, err := Parse(c); err == nil {
-			t.Errorf("Parse(%q) expected error", c)
-		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/model"
 )
 
@@ -32,7 +33,25 @@ type Store struct {
 	ppiFamilies map[string]string
 	// stockTools maps a sample SHA256 -> stock tool descriptor.
 	stockTools map[string]StockTool
+	// stockSigs caches StockSignatures, nil until computed; AddStockTool
+	// clears it and bumps stockGen, so a computation that raced with it is
+	// not cached.
+	stockSigs []StockSignature
+	stockGen  uint64
+	// sigMu serialises StockSignatures computations, so that callers racing
+	// on an empty cache hash the catalogue once between them. It is taken
+	// before mu, never while holding it.
+	sigMu sync.Mutex
 }
+
+// StockSignature is the fuzzy hash of one catalogued stock tool's binary.
+type StockSignature struct {
+	Name string
+	Sig  fuzzyhash.Signature
+}
+
+// fuzzyHash is the catalogue's hash function; tests count its calls.
+var fuzzyHash = fuzzyhash.Hash
 
 // StockTool describes one version of a known mining framework.
 type StockTool struct {
@@ -190,6 +209,8 @@ func (s *Store) AddStockTool(t StockTool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stockTools[strings.ToLower(t.SHA256)] = t
+	s.stockSigs = nil
+	s.stockGen++
 }
 
 // StockToolByHash returns the stock tool with the given SHA256, if known.
@@ -206,10 +227,15 @@ func (s *Store) IsWhitelistedHash(sha256Hex string) bool {
 	return ok
 }
 
-// StockTools returns every registered stock tool, sorted by name then version.
+// StockTools returns every registered stock tool, sorted by name, then
+// version, then SHA-256: a total order, since no two tools share a hash.
 func (s *Store) StockTools() []StockTool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.stockToolsLocked()
+}
+
+func (s *Store) stockToolsLocked() []StockTool {
 	out := make([]StockTool, 0, len(s.stockTools))
 	for _, t := range s.stockTools {
 		out = append(out, t)
@@ -218,9 +244,45 @@ func (s *Store) StockTools() []StockTool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
 		}
-		return out[i].Version < out[j].Version
+		if out[i].Version != out[j].Version {
+			return out[i].Version < out[j].Version
+		}
+		return out[i].SHA256 < out[j].SHA256
 	})
 	return out
+}
+
+// StockSignatures returns the fuzzy hash of every registered stock tool with
+// a binary, in StockTools order: the catalogue that fuzzy-hash attribution
+// compares samples against (§III-E). The first call after the catalogue last
+// changed computes them; every later call, from every aggregator built over
+// the store, shares that result. The returned slice must not be modified.
+func (s *Store) StockSignatures() []StockSignature {
+	s.sigMu.Lock()
+	defer s.sigMu.Unlock()
+	s.mu.RLock()
+	sigs, gen := s.stockSigs, s.stockGen
+	var tools []StockTool
+	if sigs == nil {
+		tools = s.stockToolsLocked()
+	}
+	s.mu.RUnlock()
+	if sigs != nil {
+		return sigs
+	}
+
+	sigs = make([]StockSignature, 0, len(tools))
+	for _, t := range tools {
+		if len(t.Content) > 0 {
+			sigs = append(sigs, StockSignature{Name: t.Name, Sig: fuzzyHash(t.Content)})
+		}
+	}
+	s.mu.Lock()
+	if s.stockGen == gen {
+		s.stockSigs = sigs
+	}
+	s.mu.Unlock()
+	return sigs
 }
 
 // StockToolCount returns the number of registered tool versions.

@@ -1,8 +1,10 @@
 package osint
 
 import (
+	"reflect"
 	"testing"
 
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/model"
 )
 
@@ -109,6 +111,36 @@ func TestStockToolRegistry(t *testing.T) {
 	tools := s.StockTools()
 	if len(tools) != 3 || tools[0].Name != "claymore" || tools[1].Version != "2.13.0" {
 		t.Errorf("StockTools order = %+v", tools)
+	}
+}
+
+// TestStockToolsTotalOrder: entries sharing name and version come out in
+// SHA-256 order, whatever order they were added in, and so do their
+// signatures — the fuzzy attribution reports the first catalogue match.
+func TestStockToolsTotalOrder(t *testing.T) {
+	tools := []StockTool{
+		{Name: "xmrig", Version: "2.14.1", SHA256: "bb", Content: []byte("xmrig build b")},
+		{Name: "xmrig", Version: "2.14.1", SHA256: "aa", Content: []byte("xmrig build a")},
+		{Name: "xmrig", Version: "2.14.1", SHA256: "cc", Content: []byte("xmrig build c")},
+	}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		s := NewStore()
+		for _, i := range order {
+			s.AddStockTool(tools[i])
+		}
+		var got []string
+		for _, tool := range s.StockTools() {
+			got = append(got, tool.SHA256)
+		}
+		if want := []string{"aa", "bb", "cc"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("added in order %v: StockTools by SHA-256 = %v, want %v", order, got, want)
+		}
+		sigs := s.StockSignatures()
+		for i, tool := range s.StockTools() {
+			if sigs[i].Sig != fuzzyhash.Hash(tool.Content) {
+				t.Errorf("added in order %v: signature %d is not %s's", order, i, tool.SHA256)
+			}
+		}
 	}
 }
 

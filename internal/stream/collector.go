@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cryptomining/internal/campaign"
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/graph"
 	"cryptomining/internal/model"
 	"cryptomining/internal/pool"
@@ -35,8 +36,9 @@ type collector struct {
 
 	outcomes map[string]*SampleOutcome //cryptolint:guardedby Engine.mu
 	// pending holds what the aggregation will need should a sample be kept
-	// later (content for fuzzy-hash attribution, AV labels for PPI
-	// enrichment); entries are dropped once fed to the aggregator.
+	// later (the body's fuzzy hash for stock-tool attribution, AV labels for
+	// PPI enrichment), never the body; entries are dropped once fed to the
+	// aggregator.
 	pending map[string]pendingInput //cryptolint:guardedby Engine.mu
 	// byWallet indexes outcomes carrying an identifier, for retroactive
 	// illicit-wallet flips.
@@ -91,8 +93,8 @@ type pricedTotals struct {
 }
 
 type pendingInput struct {
-	content []byte
-	labels  []string
+	sig    *fuzzyhash.Signature
+	labels []string
 }
 
 func newCollector(e *Engine) *collector {
@@ -142,7 +144,7 @@ func (c *collector) handle(it *Task) bool {
 		return false
 	}
 	c.outcomes[h] = o
-	c.pending[h] = pendingInput{content: it.sample.Content, labels: it.labels}
+	c.pending[h] = pendingInput{sig: it.sig, labels: it.labels}
 
 	if o.Record.HasIdentifier() {
 		c.byWallet[o.Record.User] = append(c.byWallet[o.Record.User], o)
@@ -168,11 +170,11 @@ func (c *collector) handle(it *Task) bool {
 
 	c.decideKeep(o, h)
 
-	// Bound memory on long-running ingestions: content is only retained for
-	// samples that can still enter the dataset. Anything failing the flip
-	// preconditions for good (benign, non-executable, whitelisted, no
-	// identifier) can never be kept, so its body is released immediately.
-	if !o.Kept && !c.retainable(o) {
+	// Bound memory on long-running ingestions: pending inputs are only
+	// retained for samples that can still enter the dataset. Anything failing
+	// the flip preconditions for good (benign, non-executable, whitelisted, no
+	// identifier) can never be kept, so its entry is released immediately.
+	if !o.Kept && !retainable(o) {
 		delete(c.pending, h)
 	}
 	return true
@@ -180,8 +182,11 @@ func (c *collector) handle(it *Task) bool {
 
 // retainable reports whether a not-(yet-)kept outcome may still be kept
 // later: confirmed malware parked on the dropper relation, or a sample still
-// eligible for the illicit-wallet flip.
-func (c *collector) retainable(o *SampleOutcome) bool {
+// eligible for the illicit-wallet flip. It reads only the outcome, and is
+// already true of every outcome the collector will keep when the enrich stage
+// asks (a flip needs its preconditions), so that stage computes signatures
+// for exactly the samples the collector retains.
+func retainable(o *SampleOutcome) bool {
 	if o.IsMalware {
 		return true
 	}
@@ -277,7 +282,7 @@ func (c *collector) keep(o *SampleOutcome) {
 	pc := c.pending[h]
 	delete(c.pending, h)
 	c.agg.SetAVLabels(o.SHA256, pc.labels)
-	in := campaign.Input{Record: o.Record, Content: pc.content}
+	in := campaign.Input{Record: o.Record, Signature: pc.sig}
 	if c.e.cfg.GroundTruth != nil {
 		in.GroundTruthID = c.e.cfg.GroundTruth[o.Record.SHA256]
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cryptomining/internal/binfmt"
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/model"
 	"cryptomining/internal/obs"
 	"cryptomining/internal/probe"
@@ -55,6 +56,10 @@ type Engine struct {
 	// published view.
 	mu  sync.Mutex
 	col *collector //cryptolint:guardedby mu
+	// signature is the collector's campaign.IncrementalAggregator.Signature,
+	// which reads only the stock-tool catalogue: the shards' enrich stages
+	// call it without mu.
+	signature func(*model.Record, []byte) *fuzzyhash.Signature
 
 	// view is the last published read snapshot (see view.go). Swapped under
 	// mu, loaded lock-free by readers; never nil (New seeds epoch 0).
@@ -233,6 +238,7 @@ func New(cfg Config) *Engine {
 		e.shards = append(e.shards, newShard(e))
 	}
 	e.col = newCollector(e)
+	e.signature = e.col.agg.Signature
 	e.view.Store(emptyView(e.publishInstant()))
 	if cfg.Prober != nil {
 		cfg.Prober.SetOnUpdate(e.onProbeUpdate)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"cryptomining/internal/avsim"
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/model"
 	"cryptomining/internal/obs"
 	"cryptomining/internal/sandbox"
@@ -29,6 +30,9 @@ type Task struct {
 	cls     avsim.Classification
 	static  *static.Result
 	dynamic *sandbox.Report
+	// sig is the body's fuzzy hash for stock-tool attribution, computed by
+	// the enrich stage; nil when the aggregation will compare none.
+	sig *fuzzyhash.Signature
 }
 
 // Sample returns the sample under analysis.

@@ -171,7 +171,9 @@ func (s *shard) sandboxStage(it *Task) {
 
 // enrich decides the miner verdict: YARA rules, observed Stratum traffic, a
 // recovered (wallet, pool) pair, known-pool DNS resolutions, or >=threshold
-// engines labeling the sample as a miner.
+// engines labeling the sample as a miner. For a sample the collector may keep
+// it also computes the fuzzy hash the aggregation attributes stock tools by,
+// so that the collector only compares it.
 func (s *shard) enrich(it *Task) {
 	o := it.outcome
 	o.IsMiner = len(it.static.YARAMatches) > 0 ||
@@ -179,6 +181,9 @@ func (s *shard) enrich(it *Task) {
 		o.Record.Type == model.TypeMiner ||
 		s.contactsKnownPool(&o.Record) ||
 		it.cls.LabeledMiner
+	if retainable(o) {
+		it.sig = s.e.signature(&o.Record, it.sample.Content)
+	}
 }
 
 // contactsKnownPool reports whether any resolved domain belongs to (or

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cryptomining/internal/campaign"
+	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/graph"
 	"cryptomining/internal/probe"
 	"cryptomining/internal/timeseries"
@@ -40,9 +41,9 @@ type EngineState struct {
 	// Outcomes holds every absorbed sample outcome, sorted by key (the
 	// lowercase hash).
 	Outcomes []OutcomeState
-	// Pending holds the retained bodies and AV labels of samples that may
-	// still enter the dataset, sorted by key. A kept sample's body is not
-	// retained anywhere: the aggregator resolves what it needs from it on Add.
+	// Pending holds the fuzzy hashes and AV labels of samples that may still
+	// enter the dataset, sorted by key. No body is retained anywhere: the
+	// shards hash it before the collector sees the sample.
 	Pending []PendingState
 	// Illicit is the sorted set of wallets seen in confirmed malware.
 	Illicit []string
@@ -89,11 +90,16 @@ type OutcomeState struct {
 	Outcome SampleOutcome
 }
 
-// PendingState is one retained sample body awaiting a possible keep.
+// PendingState is one retained sample awaiting a possible keep: the fuzzy
+// hash stock-tool attribution compares its body by (nil when it compares
+// none) and its AV labels.
 type PendingState struct {
-	Key     string
+	Key       string
+	Signature *fuzzyhash.Signature
+	Labels    []string
+	// Content is the body, in a state written before the shards computed
+	// signatures; RestoreState derives the signature from it.
 	Content []byte
-	Labels  []string
 }
 
 // HashRelation is one dropper-relation union-find entry.
@@ -152,7 +158,7 @@ func (e *Engine) ExportState() *EngineState {
 	}
 	for _, k := range sortedKeys(c.pending) {
 		p := c.pending[k]
-		st.Pending = append(st.Pending, PendingState{Key: k, Content: p.content, Labels: p.labels})
+		st.Pending = append(st.Pending, PendingState{Key: k, Signature: p.sig, Labels: p.labels})
 	}
 	st.Illicit = sortedTrueKeys(c.illicit)
 
@@ -244,7 +250,11 @@ func (e *Engine) RestoreState(st *EngineState) error {
 		}
 	}
 	for _, p := range st.Pending {
-		c.pending[p.Key] = pendingInput{content: p.Content, labels: p.Labels}
+		sig := p.Signature
+		if o, ok := c.outcomes[p.Key]; ok && len(p.Content) > 0 {
+			sig = c.agg.Signature(&o.Record, p.Content)
+		}
+		c.pending[p.Key] = pendingInput{sig: sig, labels: p.Labels}
 	}
 	for _, w := range st.Illicit {
 		c.illicit[w] = true
