@@ -34,14 +34,8 @@ type Store struct {
 	// stockTools maps a sample SHA256 -> stock tool descriptor.
 	stockTools map[string]StockTool
 	// stockSigs caches StockSignatures, nil until computed; AddStockTool
-	// clears it and bumps stockGen, so a computation that raced with it is
-	// not cached.
+	// clears it.
 	stockSigs []StockSignature
-	stockGen  uint64
-	// sigMu serialises StockSignatures computations, so that callers racing
-	// on an empty cache hash the catalogue once between them. It is taken
-	// before mu, never while holding it.
-	sigMu sync.Mutex
 }
 
 // StockSignature is the fuzzy hash of one catalogued stock tool's binary.
@@ -210,7 +204,6 @@ func (s *Store) AddStockTool(t StockTool) {
 	defer s.mu.Unlock()
 	s.stockTools[strings.ToLower(t.SHA256)] = t
 	s.stockSigs = nil
-	s.stockGen++
 }
 
 // StockToolByHash returns the stock tool with the given SHA256, if known.
@@ -257,32 +250,23 @@ func (s *Store) stockToolsLocked() []StockTool {
 // compares samples against (§III-E). The first call after the catalogue last
 // changed computes them; every later call, from every aggregator built over
 // the store, shares that result. The returned slice must not be modified.
+//
+// The computation holds the store's write lock, so callers racing on an
+// empty cache hash the catalogue once between them. An engine makes the first
+// call as it builds its aggregator, before any stage reads the store.
 func (s *Store) StockSignatures() []StockSignature {
-	s.sigMu.Lock()
-	defer s.sigMu.Unlock()
-	s.mu.RLock()
-	sigs, gen := s.stockSigs, s.stockGen
-	var tools []StockTool
-	if sigs == nil {
-		tools = s.stockToolsLocked()
-	}
-	s.mu.RUnlock()
-	if sigs != nil {
-		return sigs
-	}
-
-	sigs = make([]StockSignature, 0, len(tools))
-	for _, t := range tools {
-		if len(t.Content) > 0 {
-			sigs = append(sigs, StockSignature{Name: t.Name, Sig: fuzzyHash(t.Content)})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stockSigs == nil {
+		tools := s.stockToolsLocked()
+		s.stockSigs = make([]StockSignature, 0, len(tools))
+		for _, t := range tools {
+			if len(t.Content) > 0 {
+				s.stockSigs = append(s.stockSigs, StockSignature{Name: t.Name, Sig: fuzzyHash(t.Content)})
+			}
 		}
 	}
-	s.mu.Lock()
-	if s.stockGen == gen {
-		s.stockSigs = sigs
-	}
-	s.mu.Unlock()
-	return sigs
+	return s.stockSigs
 }
 
 // StockToolCount returns the number of registered tool versions.
