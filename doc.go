@@ -9,8 +9,8 @@
 // analysis, report datasets), the streaming ingestion engine
 // (internal/stream: sharded concurrent analysis with incremental campaign
 // aggregation) and its durability layer (internal/persist: write-ahead log,
-// checkpoints, crash recovery). Runnable entry points are under cmd/ and
-// examples/;
+// checkpoints, crash recovery). Runnable entry points are under cmd/, and
+// every internal package is imported by one of them (deps_test.go);
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation. See README.md and DESIGN.md.
 package cryptomining

@@ -103,6 +103,8 @@ type Config struct {
 	// answers 409 scenario_disabled.
 	Scenarios *scenario.Manager
 	// EventBuffer is the per-subscriber event channel capacity (default 1024).
+	// No binary sets it: it is a test seam, which pkg/client's
+	// TestEventStream raises to 16384 so that no event is dropped.
 	EventBuffer int
 	// RateLimit, when positive, throttles GET/HEAD requests per client
 	// address to this many requests per second (token bucket); excess

@@ -249,7 +249,7 @@ func (a *Aggregator) DeriveLinks(rec *model.Record) (sampleNode graph.NodeID, li
 }
 
 // BuildGraph constructs the aggregation graph from the inputs without
-// extracting campaigns; Aggregate is the usual entry point.
+// extracting campaigns; only the Aggregate test oracle calls it.
 func (a *Aggregator) BuildGraph(inputs []Input) (*graph.Graph, int) {
 	g := graph.New()
 	skippedDonations := 0
@@ -372,7 +372,8 @@ func isIPLiteral(host string) bool {
 	return true
 }
 
-// Aggregate groups the inputs into campaigns and enriches them.
+// Aggregate groups the inputs into campaigns and enriches them. It is the
+// batch test oracle the incremental aggregator is checked against.
 func (a *Aggregator) Aggregate(inputs []Input) *Result {
 	g, skipped := a.BuildGraph(inputs)
 	comps := g.ConnectedComponents()

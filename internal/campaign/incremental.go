@@ -310,7 +310,7 @@ func (ia *IncrementalAggregator) Len() int { return len(ia.comps) }
 
 // Rebuilds returns how many component->campaign rebuilds Refresh and Snapshot
 // performed so far — the work actually done, versus re-aggregating the world
-// each time.
+// each time. Only tests read it, to bound the view's rebuild cost.
 func (ia *IncrementalAggregator) Rebuilds() int { return ia.rebuilds }
 
 func (ia *IncrementalAggregator) rebuild(c *Component, id int) {

@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"cryptomining/internal/avsim"
@@ -35,15 +34,10 @@ import (
 	"cryptomining/internal/pool"
 	"cryptomining/internal/pow"
 	"cryptomining/internal/stream"
-	"cryptomining/internal/wallet"
 )
 
 // AVProvider supplies antivirus reports for samples.
 type AVProvider = stream.AVProvider
-
-// SampleOutcome records what happened to one corpus sample during the sanity
-// checks and analysis.
-type SampleOutcome = stream.SampleOutcome
 
 // Results is the full output of a pipeline run.
 type Results = stream.Results
@@ -76,8 +70,12 @@ type Config struct {
 	// for aggregation validation.
 	GroundTruth map[string]int
 	// Features selects the aggregation grouping features (default: all).
+	// No binary sets it: it is the seam of the grouping-feature ablations
+	// (bench_test.go, TestPipelineFeatureAblationReducesAggregation).
 	Features *campaign.Features
 	// FuzzyThreshold overrides the stock-tool fuzzy-hash distance threshold.
+	// No binary sets it: it is the seam of the threshold ablation in
+	// bench_test.go.
 	FuzzyThreshold float64
 	// Shards is the number of concurrent analysis chains driven by the
 	// underlying streaming engine. The default of 1 is one chain — four
@@ -85,8 +83,6 @@ type Config struct {
 	// thread — which delivers samples to the collector in submission order
 	// and keeps batch runs bit-reproducible run over run.
 	Shards int
-	// QueueDepth bounds the streaming engine's channels (default 64).
-	QueueDepth int
 }
 
 // scannerAV adapts the avsim scanner + ground truth to AVProvider.
@@ -159,7 +155,6 @@ func (p *Pipeline) StreamConfig() stream.Config {
 		Features:         p.cfg.Features,
 		FuzzyThreshold:   p.cfg.FuzzyThreshold,
 		Shards:           shards,
-		QueueDepth:       p.cfg.QueueDepth,
 	}
 }
 
@@ -240,28 +235,4 @@ func Validate(campaigns []*model.Campaign) ValidationStats {
 		}
 	}
 	return v
-}
-
-// SortCampaignsByEarnings returns the campaigns sorted by XMR mined, highest
-// first (Table VIII order).
-func SortCampaignsByEarnings(campaigns []*model.Campaign) []*model.Campaign {
-	out := append([]*model.Campaign(nil), campaigns...)
-	sort.Slice(out, func(i, j int) bool { return out[i].XMRMined > out[j].XMRMined })
-	return out
-}
-
-// AllWallets returns every distinct wallet identifier across the records.
-func AllWallets(records []model.Record) []string {
-	set := map[string]bool{}
-	for _, r := range records {
-		if r.HasIdentifier() && wallet.IsWallet(r.User) {
-			set[r.User] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }

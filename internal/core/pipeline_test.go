@@ -272,24 +272,6 @@ func TestValidateHelper(t *testing.T) {
 	}
 }
 
-func TestSortCampaignsByEarningsAndAllWallets(t *testing.T) {
-	cs := []*model.Campaign{{ID: 1, XMRMined: 5}, {ID: 2, XMRMined: 50}, {ID: 3, XMRMined: 0.5}}
-	sorted := SortCampaignsByEarnings(cs)
-	if sorted[0].ID != 2 || sorted[2].ID != 3 {
-		t.Errorf("sorted order = %v %v %v", sorted[0].ID, sorted[1].ID, sorted[2].ID)
-	}
-	recs := []model.Record{
-		{User: "46G5yoqAPPuAP9BCFAqFi1bdArTPoz6tQ5BFeSN1ABCDEFXYZ000000000000000000000000000000000000000000000", Currency: model.CurrencyMonero},
-		{User: "bot@mail.ru", Currency: model.CurrencyEmail},
-		{},
-	}
-	// AllWallets keeps only real wallet addresses (it re-classifies).
-	ws := AllWallets(recs)
-	if len(ws) > 1 {
-		t.Errorf("AllWallets = %v", ws)
-	}
-}
-
 func TestPipelineForkDieOff(t *testing.T) {
 	// The §VI measurement: a large fraction of campaigns stop providing
 	// valid shares after the April 2018 PoW change.

@@ -133,7 +133,7 @@ func (z *Zone) History(name string) []Record {
 	return out
 }
 
-// Names returns every name in the zone, sorted.
+// Names returns every name in the zone, sorted. Only tests list a zone.
 func (z *Zone) Names() []string {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
@@ -151,15 +151,6 @@ type Resolution struct {
 	Query string
 	Chain []string // intermediate CNAME targets, in order
 	IPs   []string
-}
-
-// FinalName returns the last name in the chain (the canonical name), or the
-// query itself when no CNAME was involved.
-func (r Resolution) FinalName() string {
-	if len(r.Chain) == 0 {
-		return r.Query
-	}
-	return r.Chain[len(r.Chain)-1]
 }
 
 // Resolver resolves names against a Zone.
@@ -252,12 +243,6 @@ func (d *AliasDetector) matchPool(name string) (pool, domain string, ok bool) {
 		}
 	}
 	return "", "", false
-}
-
-// IsPoolDomain reports whether the name itself belongs to a known pool.
-func (d *AliasDetector) IsPoolDomain(name string) bool {
-	_, _, ok := d.matchPool(name)
-	return ok
 }
 
 // Detect checks whether the domain is a CNAME alias for a known pool, first

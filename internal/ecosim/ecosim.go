@@ -93,7 +93,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// SmallConfig is a quick configuration for unit tests.
+// SmallConfig is a quick configuration for unit tests; the tests of most
+// other packages build their universe from it.
 func SmallConfig() Config {
 	c := DefaultConfig()
 	c.MoneroCampaigns = 40

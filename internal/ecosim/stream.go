@@ -166,10 +166,6 @@ func (s *StreamGenerator) Network() *pow.Network { return s.network }
 // QueryTime returns the resolved measurement end time.
 func (s *StreamGenerator) QueryTime() time.Time { return s.cfg.QueryTime }
 
-// ActiveCampaignCount reports the current working-set size (bounded by
-// StreamConfig.ActiveCampaigns).
-func (s *StreamGenerator) ActiveCampaignCount() int { return len(s.active) }
-
 // wave is the oscillating behavioural intensity in [0,1], driven by the
 // emission counter so it is deterministic and phase-shiftable.
 func (s *StreamGenerator) wave(phase float64) float64 {

@@ -61,7 +61,7 @@ func TestStreamBoundedWorkingSet(t *testing.T) {
 	s := NewStream(StreamConfig{Seed: 3, ActiveCampaigns: 16})
 	for i := 0; i < 5000; i++ {
 		s.Next()
-		if got := s.ActiveCampaignCount(); got != 16 {
+		if got := len(s.active); got != 16 {
 			t.Fatalf("working set drifted to %d campaigns after %d samples", got, i+1)
 		}
 	}

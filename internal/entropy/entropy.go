@@ -33,39 +33,3 @@ func Shannon(data []byte) float64 {
 	}
 	return h
 }
-
-// IsObfuscated reports whether data's entropy exceeds ObfuscationThreshold.
-func IsObfuscated(data []byte) bool {
-	return Shannon(data) > ObfuscationThreshold
-}
-
-// Windowed returns the Shannon entropy of each non-overlapping window of the
-// given size. A trailing partial window is included when it is non-empty.
-// Windowed entropy is useful to locate packed regions inside an otherwise
-// low-entropy binary (e.g. a packed payload appended to a small loader stub).
-func Windowed(data []byte, window int) []float64 {
-	if window <= 0 || len(data) == 0 {
-		return nil
-	}
-	var out []float64
-	for i := 0; i < len(data); i += window {
-		end := i + window
-		if end > len(data) {
-			end = len(data)
-		}
-		out = append(out, Shannon(data[i:end]))
-	}
-	return out
-}
-
-// MaxWindowed returns the maximum windowed entropy, or 0 for empty input.
-func MaxWindowed(data []byte, window int) float64 {
-	ws := Windowed(data, window)
-	var m float64
-	for _, w := range ws {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}

@@ -10,7 +10,6 @@
 package exchange
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"time"
@@ -30,9 +29,6 @@ type RatePoint struct {
 type History struct {
 	points []RatePoint
 }
-
-// ErrNoData is returned when a lookup has no rate data at all.
-var ErrNoData = errors.New("exchange: no rate data")
 
 // anchor points approximating the 2014–2019 XMR/USD trajectory. Daily points
 // are interpolated between anchors on a log scale so that the bubble and the
@@ -94,25 +90,8 @@ func NewInterpolated(anchors []RatePoint) *History {
 	return &History{points: pts}
 }
 
-// NewFromPoints builds a history directly from explicit daily points
-// (primarily for tests).
-func NewFromPoints(points []RatePoint) *History {
-	ps := append([]RatePoint(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Date.Before(ps[j].Date) })
-	return &History{points: ps}
-}
-
 // Len returns the number of daily points in the history.
 func (h *History) Len() int { return len(h.points) }
-
-// Range returns the first and last covered dates. ok is false for an empty
-// history.
-func (h *History) Range() (first, last time.Time, ok bool) {
-	if len(h.points) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	return h.points[0].Date, h.points[len(h.points)-1].Date, true
-}
 
 // Rate returns the USD value of 1 XMR on the given date. Dates before the
 // first point or after the last point return the fallback AverageRateUSD, as
@@ -133,20 +112,6 @@ func (h *History) Rate(t time.Time) float64 {
 		return h.points[0].USD
 	}
 	return h.points[idx-1].USD
-}
-
-// RateStrict is like Rate but returns an error instead of falling back when
-// the date is outside the covered range.
-func (h *History) RateStrict(t time.Time) (float64, error) {
-	if len(h.points) == 0 {
-		return 0, ErrNoData
-	}
-	day := t.UTC().Truncate(24 * time.Hour)
-	first, last := h.points[0].Date, h.points[len(h.points)-1].Date
-	if day.Before(first) || day.After(last) {
-		return 0, ErrNoData
-	}
-	return h.Rate(t), nil
 }
 
 // Convert converts an XMR amount to USD at the rate of the given date,

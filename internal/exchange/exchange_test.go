@@ -9,10 +9,10 @@ import (
 
 func TestDefaultHistoryCoversStudyPeriod(t *testing.T) {
 	h := NewDefaultHistory()
-	first, last, ok := h.Range()
-	if !ok {
+	if h.Len() == 0 {
 		t.Fatal("default history is empty")
 	}
+	first, last := h.points[0].Date, h.points[h.Len()-1].Date
 	if first.After(date(2014, 7, 1)) {
 		t.Errorf("history should start by mid-2014, starts %v", first)
 	}
@@ -48,30 +48,16 @@ func TestRateFallbackOutsideRange(t *testing.T) {
 	if got := h.Rate(date(2030, 1, 1)); got != AverageRateUSD {
 		t.Errorf("rate after history = %v, want fallback %v", got, AverageRateUSD)
 	}
-}
-
-func TestRateStrictErrors(t *testing.T) {
-	h := NewDefaultHistory()
-	if _, err := h.RateStrict(date(2007, 1, 1)); err == nil {
-		t.Error("RateStrict before range should error")
-	}
-	if r, err := h.RateStrict(date(2018, 1, 9)); err != nil || r < 300 {
-		t.Errorf("RateStrict(peak) = %v, %v", r, err)
-	}
-	empty := &History{}
-	if _, err := empty.RateStrict(date(2018, 1, 1)); err == nil {
-		t.Error("empty history RateStrict should error")
-	}
-	if got := empty.Rate(date(2018, 1, 1)); got != AverageRateUSD {
+	if got := (&History{}).Rate(date(2018, 1, 1)); got != AverageRateUSD {
 		t.Errorf("empty history Rate = %v, want fallback", got)
 	}
 }
 
 func TestConvert(t *testing.T) {
-	h := NewFromPoints([]RatePoint{
+	h := &History{points: []RatePoint{
 		{Date: date(2018, 1, 1), USD: 100},
 		{Date: date(2018, 1, 2), USD: 200},
-	})
+	}}
 	if got := h.Convert(2.5, date(2018, 1, 1)); got != 250 {
 		t.Errorf("Convert = %v, want 250", got)
 	}
@@ -84,10 +70,10 @@ func TestConvert(t *testing.T) {
 }
 
 func TestRateUsesLatestPointNotAfterDate(t *testing.T) {
-	h := NewFromPoints([]RatePoint{
+	h := &History{points: []RatePoint{
 		{Date: date(2018, 1, 1), USD: 100},
 		{Date: date(2018, 1, 10), USD: 200},
-	})
+	}}
 	// A date between the two points uses the earlier one.
 	if got := h.Rate(date(2018, 1, 5)); got != 100 {
 		t.Errorf("Rate(between points) = %v, want 100", got)

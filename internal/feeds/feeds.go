@@ -5,22 +5,14 @@
 // (§III-A and Appendix C of the paper).
 //
 // On real data each repository is a remote API; here each is an in-memory
-// Repository populated by the ecosystem simulator, except the Crawler, which
-// really does speak HTTP so the fetch-from-online-communities code path is
-// exercised against a test server.
+// Repository populated by the ecosystem simulator.
 package feeds
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"cryptomining/internal/binfmt"
 	"cryptomining/internal/model"
 )
 
@@ -213,100 +205,4 @@ func mergeSources(a, b []model.Source) []model.Source {
 
 func mergeStrings(a, b []string) []string {
 	return model.SortStrings(append(append([]string{}, a...), b...))
-}
-
-// Crawler fetches samples from small online communities over HTTP (the
-// malc0de/vxvault-style sources of §III-A). The site is expected to serve an
-// index document listing one sample URL per line; each URL is downloaded and
-// hashed.
-type Crawler struct {
-	// Client is the HTTP client used; nil uses http.DefaultClient.
-	Client *http.Client
-	// IndexPath is the path of the index document (default "/index.txt").
-	IndexPath string
-	// MaxSampleSize bounds each download (default 8 MiB).
-	MaxSampleSize int64
-	// Clock stamps the first-seen date of crawled samples.
-	Clock func() time.Time
-}
-
-// NewCrawler returns a crawler with defaults.
-func NewCrawler(client *http.Client) *Crawler {
-	return &Crawler{Client: client, IndexPath: "/index.txt", MaxSampleSize: 8 << 20, Clock: time.Now} //cryptolint:allow directclock default wiring: the one site the crawler Clock seam binds to the real clock
-}
-
-// now resolves the crawler's clock, tolerating zero-value Crawlers whose
-// Clock seam was left nil.
-func (cr *Crawler) now() time.Time {
-	if cr.Clock != nil {
-		return cr.Clock()
-	}
-	return time.Now() //cryptolint:allow directclock fallback wiring for zero-value crawlers without a Clock
-}
-
-// Crawl fetches the index at baseURL and downloads every listed sample,
-// returning them as a repository with source Crawler. Individual download
-// failures are skipped (and counted); an unreachable index is an error.
-func (cr *Crawler) Crawl(baseURL string) (*Repository, int, error) {
-	client := cr.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	indexURL := strings.TrimRight(baseURL, "/") + cr.IndexPath
-	resp, err := client.Get(indexURL)
-	if err != nil {
-		return nil, 0, fmt.Errorf("feeds: fetch index: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("feeds: index status %d", resp.StatusCode)
-	}
-
-	repo := NewRepository(model.SourceCrawler)
-	failures := 0
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sampleURL := line
-		if !strings.HasPrefix(sampleURL, "http://") && !strings.HasPrefix(sampleURL, "https://") {
-			sampleURL = strings.TrimRight(baseURL, "/") + "/" + strings.TrimLeft(line, "/")
-		}
-		content, err := cr.download(client, sampleURL)
-		if err != nil {
-			failures++
-			continue
-		}
-		sha, md5hex := binfmt.Hashes(content)
-		now := cr.now()
-		repo.Add(&model.Sample{
-			SHA256:    sha,
-			MD5:       md5hex,
-			Content:   content,
-			FirstSeen: now,
-			ITWURLs:   []string{sampleURL},
-		})
-	}
-	if err := scanner.Err(); err != nil {
-		return repo, failures, fmt.Errorf("feeds: read index: %w", err)
-	}
-	return repo, failures, nil
-}
-
-func (cr *Crawler) download(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("feeds: sample status %d", resp.StatusCode)
-	}
-	limit := cr.MaxSampleSize
-	if limit <= 0 {
-		limit = 8 << 20
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, limit))
 }

@@ -2,8 +2,6 @@ package feeds
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -134,112 +132,6 @@ func TestCorpusMergePreservesEarliestAndContent(t *testing.T) {
 	}
 	if len(got.Parents) != 1 {
 		t.Errorf("parents = %v", got.Parents)
-	}
-}
-
-func newCrawlSite(t *testing.T) (*httptest.Server, []string) {
-	t.Helper()
-	samples := map[string][]byte{
-		"/samples/miner1.exe": []byte("MZ miner one content"),
-		"/samples/miner2.exe": []byte("MZ miner two content"),
-		"/samples/broken.exe": nil, // served as 404
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/index.txt", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "# malware sample index")
-		fmt.Fprintln(w, "/samples/miner1.exe")
-		fmt.Fprintln(w, "/samples/miner2.exe")
-		fmt.Fprintln(w, "/samples/broken.exe")
-		fmt.Fprintln(w, "")
-	})
-	mux.HandleFunc("/samples/", func(w http.ResponseWriter, r *http.Request) {
-		content, ok := samples[r.URL.Path]
-		if !ok || content == nil {
-			http.NotFound(w, r)
-			return
-		}
-		_, _ = w.Write(content)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	var hashes []string
-	for _, content := range [][]byte{samples["/samples/miner1.exe"], samples["/samples/miner2.exe"]} {
-		h, _ := binfmt.Hashes(content)
-		hashes = append(hashes, h)
-	}
-	return srv, hashes
-}
-
-func TestCrawlerFetchesSamples(t *testing.T) {
-	srv, hashes := newCrawlSite(t)
-	cr := NewCrawler(srv.Client())
-	cr.Clock = func() time.Time { return model.Date(2018, 7, 1) }
-	repo, failures, err := cr.Crawl(srv.URL)
-	if err != nil {
-		t.Fatalf("Crawl error: %v", err)
-	}
-	if failures != 1 {
-		t.Errorf("failures = %d, want 1 (the broken sample)", failures)
-	}
-	if repo.Len() != 2 {
-		t.Fatalf("crawled %d samples, want 2", repo.Len())
-	}
-	for _, h := range hashes {
-		s, ok := repo.Fetch(h)
-		if !ok {
-			t.Fatalf("crawled sample %s missing", h)
-		}
-		if len(s.ITWURLs) != 1 || s.Sources[0] != model.SourceCrawler {
-			t.Errorf("crawled sample metadata = %+v", s)
-		}
-		if !s.FirstSeen.Equal(model.Date(2018, 7, 1)) {
-			t.Errorf("first seen = %v", s.FirstSeen)
-		}
-	}
-}
-
-func TestCrawlerIndexErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-	cr := NewCrawler(srv.Client())
-	if _, _, err := cr.Crawl(srv.URL); err == nil {
-		t.Error("missing index should be an error")
-	}
-	if _, _, err := cr.Crawl("http://127.0.0.1:1"); err == nil {
-		t.Error("unreachable site should be an error")
-	}
-}
-
-func TestCrawlerAbsoluteURLsAndSizeLimit(t *testing.T) {
-	var absoluteTarget *httptest.Server
-	absoluteTarget = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("MZ absolute sample"))
-	}))
-	defer absoluteTarget.Close()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/index.txt", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, absoluteTarget.URL+"/hosted.exe")
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	cr := NewCrawler(srv.Client())
-	cr.MaxSampleSize = 4 // truncates the download
-	repo, failures, err := cr.Crawl(srv.URL)
-	if err != nil || failures != 0 {
-		t.Fatalf("Crawl = %v, failures %d", err, failures)
-	}
-	if repo.Len() != 1 {
-		t.Fatalf("repo len = %d", repo.Len())
-	}
-	for _, h := range repo.List() {
-		s, _ := repo.Fetch(h)
-		if len(s.Content) != 4 {
-			t.Errorf("size limit not applied: %d bytes", len(s.Content))
-		}
 	}
 }
 

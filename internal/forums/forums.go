@@ -115,18 +115,6 @@ func (tr *Trend) Years() []int {
 	return out
 }
 
-// DominantCurrency returns the currency with the largest share in a year.
-func (tr *Trend) DominantCurrency(year int) model.Currency {
-	best := model.CurrencyUnknown
-	bestShare := -1.0
-	for _, c := range TrackedCurrencies() {
-		if s := tr.Share(year, c); s > bestShare {
-			best, bestShare = c, s
-		}
-	}
-	return best
-}
-
 // ComputeTrend classifies a corpus of threads into the Figure 1 dataset.
 func ComputeTrend(threads []Thread) *Trend {
 	counts := map[int]map[model.Currency]int{}

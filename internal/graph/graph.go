@@ -32,16 +32,12 @@ type Edge struct {
 // Graph is an undirected multigraph with typed nodes and labeled edges.
 type Graph struct {
 	nodes map[NodeID]struct{}
-	adj   map[NodeID][]Edge
 	edges []Edge
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes: make(map[NodeID]struct{}),
-		adj:   make(map[NodeID][]Edge),
-	}
+	return &Graph{nodes: make(map[NodeID]struct{})}
 }
 
 // AddNode inserts a node; adding an existing node is a no-op.
@@ -65,15 +61,13 @@ func (g *Graph) AddEdge(a, b NodeID, kind model.EdgeKind) {
 	g.AddNode(a)
 	g.AddNode(b)
 	e := Edge{A: a, B: b, Kind: kind}
-	g.adj[a] = append(g.adj[a], e)
-	g.adj[b] = append(g.adj[b], e)
 	g.edges = append(g.edges, e)
 }
 
-// NodeCount returns the number of nodes.
+// NodeCount returns the number of nodes. Only tests read it.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// EdgeCount returns the number of edges.
+// EdgeCount returns the number of edges. Only tests read it.
 func (g *Graph) EdgeCount() int { return len(g.edges) }
 
 // Edges returns a copy of all edges.
@@ -95,26 +89,6 @@ func (g *Graph) Nodes() []NodeID {
 	})
 	return out
 }
-
-// Neighbors returns the distinct neighbor nodes of id.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	var out []NodeID
-	for _, e := range g.adj[id] {
-		other := e.A
-		if other == id {
-			other = e.B
-		}
-		if !seen[other] {
-			seen[other] = true
-			out = append(out, other)
-		}
-	}
-	return out
-}
-
-// Degree returns the number of incident edges (counting multi-edges).
-func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
 
 // Component is one connected component: its nodes grouped by kind and the
 // edges internal to it.
@@ -138,7 +112,7 @@ func (c *Component) Values(kind model.NodeKind) []string {
 
 // ConnectedComponents returns every connected component of the graph. Isolated
 // nodes form singleton components. Components are returned in a deterministic
-// order (by their smallest node).
+// order (by their smallest node). Only the batch Aggregate test oracle uses it.
 func (g *Graph) ConnectedComponents() []*Component {
 	uf := NewDisjointSet[NodeID]()
 	for n := range g.nodes {
@@ -192,56 +166,6 @@ func (g *Graph) ConnectedComponents() []*Component {
 		return a.Value < b.Value
 	})
 	return comps
-}
-
-// Subgraph returns a new graph containing only the nodes for which keep
-// returns true, and the edges between kept nodes. Used by ablation benchmarks
-// that drop individual grouping features.
-func (g *Graph) Subgraph(keepEdge func(Edge) bool) *Graph {
-	out := New()
-	for n := range g.nodes {
-		out.AddNode(n)
-	}
-	for _, e := range g.edges {
-		if keepEdge(e) {
-			out.AddEdge(e.A, e.B, e.Kind)
-		}
-	}
-	return out
-}
-
-// Stats summarizes the graph for reporting.
-type Stats struct {
-	Nodes            int
-	Edges            int
-	Components       int
-	NodesByKind      map[model.NodeKind]int
-	EdgesByKind      map[model.EdgeKind]int
-	LargestComponent int
-}
-
-// ComputeStats returns summary statistics of the graph.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{
-		Nodes:       g.NodeCount(),
-		Edges:       g.EdgeCount(),
-		NodesByKind: map[model.NodeKind]int{},
-		EdgesByKind: map[model.EdgeKind]int{},
-	}
-	for n := range g.nodes {
-		s.NodesByKind[n.Kind]++
-	}
-	for _, e := range g.edges {
-		s.EdgesByKind[e.Kind]++
-	}
-	comps := g.ConnectedComponents()
-	s.Components = len(comps)
-	for _, c := range comps {
-		if len(c.Nodes) > s.LargestComponent {
-			s.LargestComponent = len(c.Nodes)
-		}
-	}
-	return s
 }
 
 // String renders an edge for debugging.

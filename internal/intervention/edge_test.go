@@ -12,63 +12,6 @@ func edgeDate(y, m, d int) time.Time {
 	return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
 }
 
-func TestMeasureBanEffectEmptyPayments(t *testing.T) {
-	e := MeasureBanEffect(nil, "w", edgeDate(2018, 6, 1), edgeDate(2018, 12, 1))
-	if e.MonthlyBefore != 0 || e.MonthlyAfter != 0 {
-		t.Fatalf("empty payments produced rates: %+v", e)
-	}
-	if e.Reduction() != 0 {
-		t.Fatalf("empty payments produced reduction %v", e.Reduction())
-	}
-
-	// Payments exist but none for the measured wallet.
-	other := []model.Payment{{Wallet: "someone-else", Amount: 3, Timestamp: edgeDate(2018, 3, 1)}}
-	e = MeasureBanEffect(other, "w", edgeDate(2018, 6, 1), edgeDate(2018, 12, 1))
-	if e.MonthlyBefore != 0 || e.MonthlyAfter != 0 {
-		t.Fatalf("foreign payments leaked into rates: %+v", e)
-	}
-}
-
-func TestMeasureBanEffectBanAfterHorizonEnd(t *testing.T) {
-	payments := []model.Payment{
-		{Wallet: "w", Amount: 1, Timestamp: edgeDate(2018, 2, 1)},
-		{Wallet: "w", Amount: 2, Timestamp: edgeDate(2018, 5, 1)},
-		{Wallet: "w", Amount: 4, Timestamp: edgeDate(2018, 8, 1)},
-	}
-	// The intervention lands after the observation horizon already ended:
-	// every payment counts as "before", the after-window has negative length
-	// and must yield a zero rate, not a negative one.
-	at := edgeDate(2019, 1, 1)
-	horizon := edgeDate(2018, 9, 1)
-	e := MeasureBanEffect(payments, "w", at, horizon)
-	if e.MonthlyBefore <= 0 {
-		t.Fatalf("expected positive before-rate, got %v", e.MonthlyBefore)
-	}
-	if e.MonthlyAfter != 0 {
-		t.Fatalf("after-rate over a negative window must be 0, got %v", e.MonthlyAfter)
-	}
-	if r := e.Reduction(); r != 1 {
-		t.Fatalf("a ban with no post-window observations is a full reduction, got %v", r)
-	}
-}
-
-func TestMeasureBanEffectAllEarningsAfterBan(t *testing.T) {
-	payments := []model.Payment{
-		{Wallet: "w", Amount: 3, Timestamp: edgeDate(2018, 7, 1)},
-	}
-	// First payment coincides with the ban: zero months of pre-ban history.
-	e := MeasureBanEffect(payments, "w", edgeDate(2018, 7, 1), edgeDate(2018, 10, 1))
-	if e.MonthlyBefore != 0 {
-		t.Fatalf("before-rate without pre-ban history must be 0, got %v", e.MonthlyBefore)
-	}
-	if e.MonthlyAfter <= 0 {
-		t.Fatalf("expected positive after-rate, got %v", e.MonthlyAfter)
-	}
-	if r := e.Reduction(); r != 0 {
-		t.Fatalf("reduction with no pre-ban earnings must be 0, got %v", r)
-	}
-}
-
 func TestMeasureForkDieOffsEmptyAndNoPayments(t *testing.T) {
 	forks := []time.Time{edgeDate(2018, 4, 6)}
 	out := MeasureForkDieOffs(nil, forks, 0)

@@ -8,19 +8,17 @@
 //     miners that are not updated and therefore kill campaigns whose
 //     operators do not maintain their botnets.
 //
-// The functions here operate on the pool simulator and the PoW model, so the
-// same experiments the paper performed live (report wallets → observe the
-// campaign move pools; monitor three forks → count die-offs) can be replayed
-// deterministically and benchmarked.
+// The functions here operate on the pool simulator and on campaign payment
+// histories, so the same experiments the paper performed live (report
+// wallets → observe the campaign move pools; monitor three forks → count
+// die-offs) can be replayed deterministically and benchmarked.
 package intervention
 
 import (
 	"sort"
 	"time"
 
-	"cryptomining/internal/model"
 	"cryptomining/internal/pool"
-	"cryptomining/internal/pow"
 )
 
 // ReportOutcome describes the result of reporting one wallet to one pool.
@@ -53,13 +51,6 @@ type PoolCooperation struct {
 // only banning wallets with a large number of connections.
 func DefaultCooperation() PoolCooperation {
 	return PoolCooperation{Cooperative: true, MinIPsToBan: 100}
-}
-
-// ReportWallets reports a set of wallets to every pool in the directory and
-// returns the per-pool outcomes. Pools are consulted with the given
-// cooperation policy; bans take effect at time `at`.
-func ReportWallets(dir *pool.Directory, wallets []string, coop PoolCooperation, at time.Time) []ReportOutcome {
-	return ReportWalletsTo(dir.Pools(), wallets, func(string) PoolCooperation { return coop }, at)
 }
 
 // ReportWalletsTo reports a set of wallets to an explicit pool set, with a
@@ -103,60 +94,6 @@ func ReportWalletsTo(pools []*pool.Pool, wallets []string, coopFor func(poolName
 		return out[i].Wallet < out[j].Wallet
 	})
 	return out
-}
-
-// BanEffect quantifies how a campaign's earnings change after an intervention:
-// the XMR per month received before and after the given date.
-type BanEffect struct {
-	Wallet        string
-	MonthlyBefore float64
-	MonthlyAfter  float64
-}
-
-// Reduction returns the fractional reduction in monthly earnings (0 when the
-// wallet earned nothing before the intervention).
-func (e BanEffect) Reduction() float64 {
-	if e.MonthlyBefore <= 0 {
-		return 0
-	}
-	r := 1 - e.MonthlyAfter/e.MonthlyBefore
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// MeasureBanEffect computes the earnings-rate change around an intervention
-// date from a wallet's merged payment history across pools.
-func MeasureBanEffect(payments []model.Payment, wallet string, at, horizonEnd time.Time) BanEffect {
-	e := BanEffect{Wallet: wallet}
-	var before, after float64
-	var first time.Time
-	for _, p := range payments {
-		if p.Wallet != wallet {
-			continue
-		}
-		if first.IsZero() || p.Timestamp.Before(first) {
-			first = p.Timestamp
-		}
-		if p.Timestamp.Before(at) {
-			before += p.Amount
-		} else if p.Timestamp.Before(horizonEnd) {
-			after += p.Amount
-		}
-	}
-	if first.IsZero() {
-		return e
-	}
-	monthsBefore := at.Sub(first).Hours() / (24 * 30.44)
-	monthsAfter := horizonEnd.Sub(at).Hours() / (24 * 30.44)
-	if monthsBefore > 0 {
-		e.MonthlyBefore = before / monthsBefore
-	}
-	if monthsAfter > 0 {
-		e.MonthlyAfter = after / monthsAfter
-	}
-	return e
 }
 
 // ForkDieOff summarizes the effect of one PoW change on a set of campaigns:
@@ -209,32 +146,4 @@ func MeasureForkDieOffs(campaigns []CampaignPayments, forks []time.Time, window 
 		out = append(out, d)
 	}
 	return out
-}
-
-// ForkFrequencyScenario estimates, with the PoW reward model, how much a
-// non-updating botnet earns under different fork cadences — the "increase the
-// frequency of PoW changes" countermeasure the paper proposes. It returns the
-// expected XMR mined by a botnet of the given size over the horizon when the
-// algorithm changes every `cadence` (the botnet only earns until the first
-// change after its start).
-func ForkFrequencyScenario(network *pow.Network, botnetSize int, start time.Time, horizon, cadence time.Duration) float64 {
-	if network == nil {
-		network = pow.NewMoneroNetwork()
-	}
-	if cadence <= 0 || horizon <= 0 || botnetSize <= 0 {
-		return 0
-	}
-	// The botnet earns from start until the first fork after start, at most
-	// the horizon.
-	earningWindow := cadence
-	if earningWindow > horizon {
-		earningWindow = horizon
-	}
-	hashrate := float64(botnetSize) * pow.TypicalVictimHashrate
-	// Integrate in daily steps to follow the reward curve.
-	var total float64
-	for t := start; t.Before(start.Add(earningWindow)); t = t.Add(24 * time.Hour) {
-		total += network.ExpectedReward(hashrate, 24*time.Hour, t)
-	}
-	return total
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cryptomining/internal/model"
 	"cryptomining/internal/pool"
 	"cryptomining/internal/pow"
 )
@@ -34,7 +33,7 @@ func seededDirectory() *pool.Directory {
 func TestReportWalletsCooperativeBansBotnet(t *testing.T) {
 	dir := seededDirectory()
 	at := date(2018, 9, 15)
-	outcomes := ReportWallets(dir, []string{"4BOTNET", "4PROXIED", "4NEVER_SEEN"}, DefaultCooperation(), at)
+	outcomes := ReportWalletsTo(dir.Pools(), []string{"4BOTNET", "4PROXIED", "4NEVER_SEEN"}, nil, at)
 
 	byKey := map[string]ReportOutcome{}
 	for _, o := range outcomes {
@@ -69,7 +68,8 @@ func TestReportWalletsCooperativeBansBotnet(t *testing.T) {
 
 func TestReportWalletsNonCooperative(t *testing.T) {
 	dir := seededDirectory()
-	outcomes := ReportWallets(dir, []string{"4BOTNET"}, PoolCooperation{Cooperative: false}, date(2018, 9, 15))
+	never := func(string) PoolCooperation { return PoolCooperation{Cooperative: false} }
+	outcomes := ReportWalletsTo(dir.Pools(), []string{"4BOTNET"}, never, date(2018, 9, 15))
 	for _, o := range outcomes {
 		if o.Banned {
 			t.Errorf("non-cooperative pool banned a wallet: %+v", o)
@@ -81,49 +81,6 @@ func TestReportWalletsNonCooperative(t *testing.T) {
 	mx, _ := dir.Get("minexmr")
 	if mx.IsBanned("4BOTNET") {
 		t.Error("non-cooperative pool must not ban")
-	}
-}
-
-func TestMeasureBanEffect(t *testing.T) {
-	// Twelve months of 100 XMR/month before the ban, then 10 XMR/month after.
-	var payments []model.Payment
-	for m := 0; m < 12; m++ {
-		payments = append(payments, model.Payment{
-			Wallet: "4W", Amount: 100, Timestamp: date(2017, time.Month(1+m), 15),
-		})
-	}
-	for m := 0; m < 6; m++ {
-		payments = append(payments, model.Payment{
-			Wallet: "4W", Amount: 10, Timestamp: date(2018, time.Month(1+m), 15),
-		})
-	}
-	// Payments of an unrelated wallet are ignored.
-	payments = append(payments, model.Payment{Wallet: "4OTHER", Amount: 1000, Timestamp: date(2017, 6, 1)})
-
-	e := MeasureBanEffect(payments, "4W", date(2018, 1, 1), date(2018, 7, 1))
-	if e.MonthlyBefore < 90 || e.MonthlyBefore > 110 {
-		t.Errorf("monthly before = %v, want ~100", e.MonthlyBefore)
-	}
-	if e.MonthlyAfter < 8 || e.MonthlyAfter > 12 {
-		t.Errorf("monthly after = %v, want ~10", e.MonthlyAfter)
-	}
-	if r := e.Reduction(); r < 0.85 || r > 0.95 {
-		t.Errorf("reduction = %v, want ~0.9", r)
-	}
-	// Wallet with no payments: zero effect.
-	empty := MeasureBanEffect(payments, "4UNKNOWN", date(2018, 1, 1), date(2018, 7, 1))
-	if empty.MonthlyBefore != 0 || empty.Reduction() != 0 {
-		t.Errorf("empty effect = %+v", empty)
-	}
-}
-
-func TestBanEffectReductionClamped(t *testing.T) {
-	e := BanEffect{MonthlyBefore: 10, MonthlyAfter: 20}
-	if e.Reduction() != 0 {
-		t.Error("earnings increase should clamp reduction to 0")
-	}
-	if (BanEffect{}).Reduction() != 0 {
-		t.Error("zero effect reduction should be 0")
 	}
 }
 
@@ -165,33 +122,6 @@ func TestMeasureForkDieOffs(t *testing.T) {
 	// Default window when zero.
 	if got := MeasureForkDieOffs(campaigns, []time.Time{fork1}, 0); len(got) != 1 || got[0].ActiveBefore == 0 {
 		t.Errorf("default window die-off = %+v", got)
-	}
-}
-
-func TestForkFrequencyScenario(t *testing.T) {
-	n := pow.NewMoneroNetwork()
-	start := date(2017, 6, 1)
-	horizon := 365 * 24 * time.Hour
-	yearly := ForkFrequencyScenario(n, 2000, start, horizon, 365*24*time.Hour)
-	quarterly := ForkFrequencyScenario(n, 2000, start, horizon, 90*24*time.Hour)
-	monthly := ForkFrequencyScenario(n, 2000, start, horizon, 30*24*time.Hour)
-	if yearly <= quarterly || quarterly <= monthly {
-		t.Errorf("more frequent forks should reduce non-updating botnet earnings: yearly=%v quarterly=%v monthly=%v",
-			yearly, quarterly, monthly)
-	}
-	if monthly <= 0 {
-		t.Error("even a monthly cadence should allow some earnings")
-	}
-	// A fork cadence longer than the horizon is capped at the horizon.
-	capped := ForkFrequencyScenario(n, 2000, start, horizon, 10*365*24*time.Hour)
-	if capped != yearly {
-		t.Errorf("cadence beyond horizon should equal horizon earnings: %v vs %v", capped, yearly)
-	}
-	if ForkFrequencyScenario(n, 0, start, horizon, horizon) != 0 {
-		t.Error("zero botnet earns zero")
-	}
-	if ForkFrequencyScenario(nil, 100, start, 0, horizon) != 0 {
-		t.Error("zero horizon earns zero")
 	}
 }
 

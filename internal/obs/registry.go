@@ -405,7 +405,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations so far.
+// Count returns the number of observations so far. Only tests read it; a
+// scrape reads the whole distribution.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.

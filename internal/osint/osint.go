@@ -102,13 +102,6 @@ func (s *Store) AddIoC(ioc model.IoC) {
 	s.byValue[key] = append(s.byValue[key], ioc)
 }
 
-// AddIoCs registers a batch of indicators.
-func (s *Store) AddIoCs(iocs []model.IoC) {
-	for _, i := range iocs {
-		s.AddIoC(i)
-	}
-}
-
 // Lookup returns the IoCs recorded for a value (hash, domain, IP, wallet or
 // URL), matching case-insensitively.
 func (s *Store) Lookup(value string) []model.IoC {
@@ -136,13 +129,6 @@ func (s *Store) Operations(values ...string) []string {
 	return out
 }
 
-// IoCCount returns the number of distinct indicator values stored.
-func (s *Store) IoCCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byValue)
-}
-
 // AddDonationWallet whitelists a developer donation wallet for a tool.
 func (s *Store) AddDonationWallet(wallet, tool string) {
 	s.mu.Lock()
@@ -159,7 +145,8 @@ func (s *Store) IsDonationWallet(wallet string) (string, bool) {
 	return tool, ok
 }
 
-// DonationWallets returns the whitelist, sorted by wallet.
+// DonationWallets returns the whitelist, sorted by wallet. Only tests list
+// it, the stream view test among them.
 func (s *Store) DonationWallets() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -21,27 +21,29 @@ func TestAddAndLookupIoC(t *testing.T) {
 	if len(s.Lookup("unknown.example")) != 0 {
 		t.Error("unknown value should have no IoCs")
 	}
-	if s.IoCCount() != 2 {
-		t.Errorf("IoCCount = %d, want 2", s.IoCCount())
+	if n := len(s.byValue); n != 2 {
+		t.Errorf("distinct IoC values = %d, want 2", n)
 	}
 }
 
 func TestAddIoCEmptyValueIgnored(t *testing.T) {
 	s := NewStore()
 	s.AddIoC(model.IoC{Type: model.IoCDomain, Value: "   ", Operation: "X"})
-	if s.IoCCount() != 0 {
+	if len(s.byValue) != 0 {
 		t.Error("empty IoC value should be ignored")
 	}
 }
 
 func TestOperationsAggregation(t *testing.T) {
 	s := NewStore()
-	s.AddIoCs([]model.IoC{
+	for _, ioc := range []model.IoC{
 		{Type: model.IoCDomain, Value: "a.example", Operation: "Adylkuzz"},
 		{Type: model.IoCHash, Value: "deadbeef", Operation: "Rocke"},
 		{Type: model.IoCHash, Value: "deadbeef", Operation: "Rocke"}, // duplicate
 		{Type: model.IoCIP, Value: "10.0.0.1", Operation: "Adylkuzz"},
-	})
+	} {
+		s.AddIoC(ioc)
+	}
 	ops := s.Operations("a.example", "deadbeef", "10.0.0.1", "nothing")
 	if len(ops) != 2 || ops[0] != "Adylkuzz" || ops[1] != "Rocke" {
 		t.Errorf("Operations = %v", ops)

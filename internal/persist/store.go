@@ -533,15 +533,6 @@ func (s *Store) prune(ackLow uint64) {
 	syncDir(s.dir)
 }
 
-// Logged returns how many submissions have been logged so far. With a
-// deterministic feed this is the cursor from which to continue after
-// Resume.
-func (s *Store) Logged() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextSeq - 1
-}
-
 // Close syncs and closes the active WAL segment. It does not checkpoint;
 // callers wanting a fresh snapshot should Checkpoint first.
 func (s *Store) Close() error {

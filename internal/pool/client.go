@@ -74,36 +74,3 @@ func (c *StatsClient) WalletStats(ctx context.Context, address string) (model.Wa
 	}
 	return stats, nil
 }
-
-// PoolInfo is the wire form of the pool summary served at /api/pool.
-type PoolInfo struct {
-	Name      string   `json:"name"`
-	Currency  string   `json:"currency"`
-	Domains   []string `json:"domains"`
-	Wallets   int      `json:"wallets"`
-	TotalPaid float64  `json:"total_paid"`
-}
-
-// PoolInfo fetches the pool summary (name, currency, wallet count, total
-// paid).
-func (c *StatsClient) PoolInfo(ctx context.Context) (PoolInfo, error) {
-	u := strings.TrimRight(c.BaseURL, "/") + "/api/pool"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return PoolInfo{}, fmt.Errorf("pool: build info request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return PoolInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return PoolInfo{}, fmt.Errorf("pool: unexpected HTTP status %d", resp.StatusCode)
-	}
-	var info PoolInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return PoolInfo{}, fmt.Errorf("pool: decode info response: %w", err)
-	}
-	return info, nil
-}

@@ -328,7 +328,8 @@ func (p *Pool) RetractEarningsFrom(user string, at time.Time) Retraction {
 	return ret
 }
 
-// IsBanned reports whether the wallet is banned.
+// IsBanned reports whether the wallet is banned. Only tests ask; the ban
+// policy itself reads the account directly.
 func (p *Pool) IsBanned(user string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -278,14 +278,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(stats)
 }
 
+// PoolInfo is the wire form of the pool summary served at /api/pool.
+type PoolInfo struct {
+	Name      string   `json:"name"`
+	Currency  string   `json:"currency"`
+	Domains   []string `json:"domains"`
+	Wallets   int      `json:"wallets"`
+	TotalPaid float64  `json:"total_paid"`
+}
+
 func (s *Server) handlePoolInfo(w http.ResponseWriter, r *http.Request) {
-	info := struct {
-		Name      string   `json:"name"`
-		Currency  string   `json:"currency"`
-		Domains   []string `json:"domains"`
-		Wallets   int      `json:"wallets"`
-		TotalPaid float64  `json:"total_paid"`
-	}{
+	info := PoolInfo{
 		Name:      s.Pool.Name,
 		Currency:  string(s.Pool.Currency),
 		Domains:   s.Pool.Domains,
@@ -327,41 +330,4 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	s.log.Info("server closed", "pool", s.Pool.Name, "sessions_cut", len(conns))
 	return nil
-}
-
-// QueryStatsHTTP is a convenience wrapper over StatsClient, kept for callers
-// that predate it: it fetches the summary WalletStats fields for an address
-// from a pool's HTTP endpoint. New code (and anything needing the payment
-// history) should use StatsClient.WalletStats directly.
-func QueryStatsHTTP(client *http.Client, baseURL, address string) (*WalletStatsResponse, error) {
-	stats, err := NewStatsClient(baseURL, client).WalletStats(context.Background(), address)
-	if err != nil {
-		return nil, err
-	}
-	return &WalletStatsResponse{
-		Pool:        stats.Pool,
-		User:        stats.User,
-		Hashes:      stats.Hashes,
-		Hashrate:    stats.Hashrate,
-		LastShare:   stats.LastShare,
-		Balance:     stats.Balance,
-		TotalPaid:   stats.TotalPaid,
-		NumPayments: stats.NumPayments,
-		Banned:      stats.Banned,
-	}, nil
-}
-
-// WalletStatsResponse is the summary wire form of model.WalletStats
-// (identical field names; declared separately so the historical QueryStatsHTTP
-// contract stays explicit and stable).
-type WalletStatsResponse struct {
-	Pool        string    `json:"Pool"`
-	User        string    `json:"User"`
-	Hashes      uint64    `json:"Hashes"`
-	Hashrate    float64   `json:"Hashrate"`
-	LastShare   time.Time `json:"LastShare"`
-	Balance     float64   `json:"Balance"`
-	TotalPaid   float64   `json:"TotalPaid"`
-	NumPayments int       `json:"NumPayments"`
-	Banned      bool      `json:"Banned"`
 }

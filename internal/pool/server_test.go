@@ -71,9 +71,9 @@ func TestServerStratumMiningAndHTTPStats(t *testing.T) {
 	}
 
 	// Query the same wallet over the HTTP stats API, like the profit stage.
-	got, err := QueryStatsHTTP(nil, "http://"+httpAddr, wallet)
+	got, err := NewStatsClient("http://"+httpAddr, nil).WalletStats(context.Background(), wallet)
 	if err != nil {
-		t.Fatalf("QueryStatsHTTP error: %v", err)
+		t.Fatalf("WalletStats error: %v", err)
 	}
 	if got.User != wallet || got.Pool != "minexmr" || got.Hashes != stats.Hashes {
 		t.Errorf("HTTP stats = %+v", got)
@@ -82,7 +82,7 @@ func TestServerStratumMiningAndHTTPStats(t *testing.T) {
 
 func TestServerHTTPUnknownAndMissingAddress(t *testing.T) {
 	_, _, httpAddr := newTestServer(t, DefaultPolicy())
-	if _, err := QueryStatsHTTP(nil, "http://"+httpAddr, "4UNKNOWN"); !errors.Is(err, ErrUnknownUser) {
+	if _, err := NewStatsClient("http://"+httpAddr, nil).WalletStats(context.Background(), "4UNKNOWN"); !errors.Is(err, ErrUnknownUser) {
 		t.Errorf("unknown wallet error = %v, want ErrUnknownUser", err)
 	}
 	resp, err := http.Get("http://" + httpAddr + "/api/stats")
@@ -112,7 +112,7 @@ func TestServerHTTPOpaquePool(t *testing.T) {
 	if _, err := c.Submit("00", "ff"); err != nil {
 		t.Fatalf("Submit error: %v", err)
 	}
-	if _, err := QueryStatsHTTP(nil, "http://"+httpAddr, "miner@mail.ru"); !errors.Is(err, ErrOpaquePool) {
+	if _, err := NewStatsClient("http://"+httpAddr, nil).WalletStats(context.Background(), "miner@mail.ru"); !errors.Is(err, ErrOpaquePool) {
 		t.Errorf("opaque pool error = %v, want ErrOpaquePool", err)
 	}
 }
@@ -166,6 +166,13 @@ func TestServerPoolInfoEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
+	var info PoolInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Name != s.Pool.Name || info.Wallets != 1 || info.TotalPaid != s.Pool.TotalPaidAll() {
+		t.Errorf("pool info = %+v", info)
+	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
@@ -182,8 +189,37 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerCloseCutsOpenSessions: a miner that logged in and never hung up
+// must not keep Close waiting on its session goroutine.
+func TestServerCloseCutsOpenSessions(t *testing.T) {
+	p := New("p", nil, model.CurrencyMonero, DefaultPolicy(), nil)
+	s := NewServer(p)
+	addr, err := s.ListenStratum("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := stratum.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Login("4OPEN_SESSION", "x"); err != nil {
+		t.Fatalf("Login error: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close error: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return with a logged-in session still open")
+	}
+}
+
 func TestQueryStatsHTTPBadEndpoint(t *testing.T) {
-	if _, err := QueryStatsHTTP(nil, "http://127.0.0.1:1", "4W"); err == nil {
+	if _, err := NewStatsClient("http://127.0.0.1:1", nil).WalletStats(context.Background(), "4W"); err == nil {
 		t.Error("querying a closed port should error")
 	}
 }

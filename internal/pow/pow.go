@@ -173,16 +173,6 @@ func (n *Network) ExpectedRewardPerHash(t time.Time) float64 {
 	return n.BlockReward(t) / (hr * n.BlockTime)
 }
 
-// ExpectedReward returns the expected XMR a worker mining at `hashrate` H/s
-// earns over the duration d ending at t.
-func (n *Network) ExpectedReward(hashrate float64, d time.Duration, t time.Time) float64 {
-	if hashrate <= 0 || d <= 0 {
-		return 0
-	}
-	hashes := hashrate * d.Seconds()
-	return hashes * n.ExpectedRewardPerHash(t)
-}
-
 // TypicalVictimHashrate is the hashrate (H/s) of one infected desktop-class
 // machine running CryptoNight on CPU, used by the ecosystem simulator to size
 // botnet earnings (a few hundred H/s was typical for the era).

@@ -38,7 +38,8 @@ type fakeTimer struct {
 	ch chan time.Time
 }
 
-// NewFakeClock creates a fake clock pinned at start.
+// NewFakeClock creates a fake clock pinned at start. Only tests use the fake
+// clock, here and in persist.
 func NewFakeClock(start time.Time) *FakeClock {
 	return &FakeClock{now: start}
 }
@@ -66,7 +67,7 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 }
 
 // Advance moves the clock forward by d and fires every timer whose deadline
-// has been reached, in deadline order.
+// has been reached, in deadline order. Only tests advance a clock.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
@@ -85,13 +86,4 @@ func (c *FakeClock) Advance(d time.Duration) {
 	for _, t := range due {
 		t.ch <- t.at
 	}
-}
-
-// PendingTimers reports how many timers are waiting to fire — tests poll it
-// to know when the scheduler's workers are parked on the clock before
-// advancing.
-func (c *FakeClock) PendingTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
 }

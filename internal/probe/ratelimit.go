@@ -8,22 +8,19 @@ import (
 // tokenBucket is a reservation-style token bucket driven by an external
 // clock: Reserve never sleeps, it hands back how long the caller must wait
 // before its reserved slot begins. Tokens refill continuously at rate per
-// second up to burst; reservations may drive the balance negative, which is
-// what serializes concurrent callers onto future slots — the long-run request
-// rate can therefore never exceed rate, regardless of worker count.
+// second up to one, so there are no bursts; reservations may drive the
+// balance negative, which is what serializes concurrent callers onto future
+// slots — the long-run request rate can therefore never exceed rate,
+// regardless of worker count.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second; <= 0 disables limiting
-	burst  float64
 	tokens float64
 	last   time.Time
 }
 
-func newTokenBucket(rate float64, burst int, now time.Time) *tokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: now}
+func newTokenBucket(rate float64, now time.Time) *tokenBucket {
+	return &tokenBucket{rate: rate, tokens: 1, last: now}
 }
 
 // reserve claims one token and returns how long the caller must wait (zero
@@ -36,9 +33,7 @@ func (tb *tokenBucket) reserve(now time.Time) time.Duration {
 	defer tb.mu.Unlock()
 	if now.After(tb.last) {
 		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
+		tb.tokens = min(tb.tokens, 1)
 		tb.last = now
 	}
 	tb.tokens--

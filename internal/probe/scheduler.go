@@ -40,6 +40,15 @@ type Update struct {
 	Err       string
 }
 
+const (
+	// maxAttempts bounds fetch attempts per (wallet, pool) on transient
+	// errors.
+	maxAttempts = 3
+	// backoffBase is the wait before the first retry; each further retry
+	// doubles it, so three attempts wait 50 ms and then 100 ms.
+	backoffBase = 50 * time.Millisecond
+)
+
 // Config tunes a Scheduler.
 type Config struct {
 	// Source supplies per-pool wallet statistics (required).
@@ -57,16 +66,8 @@ type Config struct {
 	// token bucket (0 = unlimited). Real pools throttle aggressive crawlers;
 	// the polite crawler never exceeds this, whatever the worker count.
 	RatePerPool float64
-	// Burst is the token-bucket burst size (default 1).
-	Burst int
-	// MaxAttempts bounds fetch attempts per (wallet, pool) on transient
-	// errors (default 3).
-	MaxAttempts int
-	// BackoffBase / BackoffMax shape the exponential retry backoff
-	// (defaults 50ms / 5s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Clock drives all waiting (default: wall clock).
+	// Clock drives all waiting (default: wall clock). A seam for tests,
+	// which drive rate limits, backoff and TTL refresh with a FakeClock.
 	Clock Clock
 	// Metrics, when set, makes the scheduler register its crawl telemetry
 	// (queue depth, in-flight probes, cache size/age, per-pool request,
@@ -80,18 +81,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.Burst < 1 {
-		cfg.Burst = 1
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 5 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
@@ -203,7 +192,7 @@ func New(cfg Config) *Scheduler {
 	}
 	s.log = obs.Component(cfg.Logger, "probe")
 	for _, name := range cfg.Source.Pools() {
-		s.buckets[name] = newTokenBucket(cfg.RatePerPool, cfg.Burst, s.clock.Now())
+		s.buckets[name] = newTokenBucket(cfg.RatePerPool, s.clock.Now())
 		s.pools[name] = &poolCounters{}
 	}
 	if cfg.Metrics != nil {
@@ -466,7 +455,7 @@ func (s *Scheduler) CollectWallet(wallet string) profit.WalletActivity {
 }
 
 // Converged reports whether the crawl has drained: nothing queued, nothing in
-// flight.
+// flight. Only the probe and api tests poll it; binaries read Stats.
 func (s *Scheduler) Converged() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -614,13 +603,13 @@ func (s *Scheduler) probe(ctx context.Context, wallet string) {
 
 // fetchWithRetry queries one (wallet, pool) pair within the pool's rate
 // limit, retrying transient failures with exponential backoff up to
-// MaxAttempts.
+// maxAttempts.
 func (s *Scheduler) fetchWithRetry(ctx context.Context, poolName, wallet string) (model.WalletStats, ErrorClass) {
 	pc := s.pools[poolName]
 	bucket := s.buckets[poolName]
-	backoff := s.cfg.BackoffBase
+	backoff := backoffBase
 	class := ErrorUnreachable
-	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if wait := bucket.reserve(s.clock.Now()); wait > 0 {
 			pc.throttledNanos.Add(int64(wait))
 			select {
@@ -646,7 +635,7 @@ func (s *Scheduler) fetchWithRetry(ctx context.Context, poolName, wallet string)
 		if ctx.Err() != nil {
 			return model.WalletStats{}, ErrorUnreachable
 		}
-		if attempt+1 < s.cfg.MaxAttempts {
+		if attempt+1 < maxAttempts {
 			pc.retries.Add(1)
 			select {
 			case <-s.clock.After(backoff):
@@ -654,9 +643,6 @@ func (s *Scheduler) fetchWithRetry(ctx context.Context, poolName, wallet string)
 				return model.WalletStats{}, ErrorUnreachable
 			}
 			backoff *= 2
-			if backoff > s.cfg.BackoffMax {
-				backoff = s.cfg.BackoffMax
-			}
 		}
 	}
 	pc.failed.Add(1)

@@ -95,7 +95,6 @@ func TestRateLimitNeverExceeded(t *testing.T) {
 		Source:      src,
 		Clock:       clk,
 		RatePerPool: 1,
-		Burst:       1,
 		Workers:     4,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -162,28 +161,23 @@ func TestPriorityNeverProbedFirst(t *testing.T) {
 
 // TestTransientRetryWithBackoff: a pool that fails twice with a transport
 // error and then answers must yield a clean cache entry after exactly three
-// attempts, with the retries counted.
+// attempts, with the retries counted and the backoff doubling from 50 ms.
 func TestTransientRetryWithBackoff(t *testing.T) {
-	src := newFakeSource(probe.RealClock(), "pool-a")
+	clk := probe.NewFakeClock(time.Date(2019, 4, 30, 0, 0, 0, 0, time.UTC))
+	src := newFakeSource(clk, "pool-a")
 	src.respond = func(_, _ string, attempt int) (model.WalletStats, error) {
 		if attempt < 3 {
 			return model.WalletStats{}, errors.New("connection refused")
 		}
 		return model.WalletStats{Pool: "pool-a", User: "w", TotalPaid: 1.5}, nil
 	}
-	s := probe.New(probe.Config{
-		Source:      src,
-		Workers:     1,
-		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	s := probe.New(probe.Config{Source: src, Clock: clk, Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
 	defer s.Close()
 	s.Enqueue("w")
-	waitConverged(t, s, nil, 0)
+	waitConverged(t, s, clk, 10*time.Millisecond)
 
 	ent, ok := s.Peek("w")
 	if !ok || ent.Err != "" {
@@ -197,13 +191,23 @@ func TestTransientRetryWithBackoff(t *testing.T) {
 	if pc.Requests != 3 || pc.Retries != 2 || pc.OK != 1 || pc.Failed != 0 {
 		t.Fatalf("unexpected pool counters: %+v", pc)
 	}
+	times := src.fetchTimes("pool-a")
+	if len(times) != 3 {
+		t.Fatalf("got %d fetches, want 3", len(times))
+	}
+	for i, want := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond} {
+		if d := times[i+1].Sub(times[i]); d < want {
+			t.Errorf("retry %d came %v after its attempt, want at least %v of backoff", i+1, d, want)
+		}
+	}
 }
 
 // TestTerminalClassification: unknown wallets and opaque pools are terminal
 // (single attempt, no retries, no entry error); a pool that stays down
-// exhausts retries and is recorded on the entry.
+// exhausts all three attempts and is recorded on the entry.
 func TestTerminalClassification(t *testing.T) {
-	src := newFakeSource(probe.RealClock(), "opaque", "down", "unknown")
+	clk := probe.NewFakeClock(time.Date(2019, 4, 30, 0, 0, 0, 0, time.UTC))
+	src := newFakeSource(clk, "opaque", "down", "unknown")
 	src.respond = func(poolName, _ string, _ int) (model.WalletStats, error) {
 		switch poolName {
 		case "opaque":
@@ -214,18 +218,13 @@ func TestTerminalClassification(t *testing.T) {
 			return model.WalletStats{}, pool.ErrUnknownUser
 		}
 	}
-	s := probe.New(probe.Config{
-		Source:      src,
-		Workers:     1,
-		MaxAttempts: 2,
-		BackoffBase: time.Millisecond,
-	})
+	s := probe.New(probe.Config{Source: src, Clock: clk, Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
 	defer s.Close()
 	s.Enqueue("w")
-	waitConverged(t, s, nil, 0)
+	waitConverged(t, s, clk, 10*time.Millisecond)
 
 	ent, _ := s.Peek("w")
 	if !strings.Contains(ent.Err, "down") || strings.Contains(ent.Err, "unknown") || strings.Contains(ent.Err, "opaque") {
@@ -246,7 +245,7 @@ func TestTerminalClassification(t *testing.T) {
 				t.Fatalf("unknown pool counters: %+v", pc)
 			}
 		case "down":
-			if pc.Requests != 2 || pc.Retries != 1 || pc.Failed != 1 {
+			if pc.Requests != 3 || pc.Retries != 2 || pc.Failed != 1 {
 				t.Fatalf("down pool counters: %+v", pc)
 			}
 		}

@@ -254,28 +254,6 @@ func AnalyzeCampaignWith(c *model.Campaign, collect func(wallet string) WalletAc
 	return cp
 }
 
-// AnalyzeCampaignsWith runs AnalyzeCampaignWith over every campaign and
-// returns the per-campaign profits for campaigns with any earnings, sorted by
-// XMR descending.
-func AnalyzeCampaignsWith(campaigns []*model.Campaign, collect func(wallet string) WalletActivity, queryTime time.Time) []CampaignProfit {
-	var out []CampaignProfit
-	for _, c := range campaigns {
-		cp := AnalyzeCampaignWith(c, collect, queryTime)
-		if cp.XMR > 0 {
-			out = append(out, cp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].XMR > out[j].XMR })
-	return out
-}
-
-// AnalyzeCampaigns collects activity for every wallet of every campaign and
-// fills the campaigns' profit fields. It returns the per-campaign profits for
-// campaigns with any earnings.
-func (a *Analyzer) AnalyzeCampaigns(campaigns []*model.Campaign) []CampaignProfit {
-	return AnalyzeCampaignsWith(campaigns, a.Collector.CollectWallet, a.Collector.QueryTime)
-}
-
 // TopCampaigns returns the n highest-earning campaigns (Table VIII).
 func TopCampaigns(profits []CampaignProfit, n int) []CampaignProfit {
 	sorted := append([]CampaignProfit(nil), profits...)
@@ -322,32 +300,6 @@ type PoolRanking struct {
 	XMR     float64
 	Wallets int
 	USD     float64
-}
-
-// RankPools aggregates wallet activity per pool (Table VII): for every pool,
-// the total XMR paid to illicit wallets, the number of distinct wallets and
-// the USD equivalent.
-func (a *Analyzer) RankPools(wallets []string) []PoolRanking {
-	perPool := map[string]*PoolRanking{}
-	acts := a.Collector.CollectWallets(wallets)
-	for _, act := range acts {
-		for _, st := range act.PerPool {
-			r, ok := perPool[st.Pool]
-			if !ok {
-				r = &PoolRanking{Pool: st.Pool}
-				perPool[st.Pool] = r
-			}
-			r.XMR += st.TotalPaid
-			r.USD += st.USD
-			r.Wallets++
-		}
-	}
-	out := make([]PoolRanking, 0, len(perPool))
-	for _, r := range perPool {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].XMR > out[j].XMR })
-	return out
 }
 
 // CDFPoint is one point of a cumulative distribution (Figure 4).

@@ -98,7 +98,7 @@ func TestAnalyzeCampaignsFillsProfitFields(t *testing.T) {
 		{ID: 3, Wallets: []string{"4SMALL_WALLET"}},
 		{ID: 4, Wallets: []string{"4NEVER_MINED"}},
 	}
-	profits := a.AnalyzeCampaigns(campaigns)
+	profits := analyzeAll(a, campaigns)
 	if len(profits) != 3 {
 		t.Fatalf("campaigns with earnings = %d, want 3", len(profits))
 	}
@@ -149,7 +149,7 @@ func TestTopCampaignsAndWallets(t *testing.T) {
 		{ID: 2, Wallets: []string{"4MEDIUM_WALLET"}},
 		{ID: 3, Wallets: []string{"4SMALL_WALLET"}},
 	}
-	profits := a.AnalyzeCampaigns(campaigns)
+	profits := analyzeAll(a, campaigns)
 	top2 := TopCampaigns(profits, 2)
 	if len(top2) != 2 || top2[0].XMR < top2[1].XMR {
 		t.Errorf("TopCampaigns = %+v", top2)
@@ -183,29 +183,6 @@ func TestTopCampaignsAndWallets(t *testing.T) {
 			ties[0].Wallet != "4TIE_A" || ties[1].Wallet != "4TIE_B" || ties[2].Wallet != "4TIE_C" {
 			t.Fatalf("TopWallets with ties = %+v", ties)
 		}
-	}
-}
-
-func TestRankPools(t *testing.T) {
-	a, _ := newAnalyzer()
-	ranking := a.RankPools([]string{"4BIG_WALLET", "4MEDIUM_WALLET", "4SMALL_WALLET"})
-	if len(ranking) < 3 {
-		t.Fatalf("pool ranking = %+v", ranking)
-	}
-	for i := 1; i < len(ranking); i++ {
-		if ranking[i].XMR > ranking[i-1].XMR {
-			t.Fatal("ranking not sorted by XMR")
-		}
-	}
-	byName := map[string]PoolRanking{}
-	for _, r := range ranking {
-		byName[r.Pool] = r
-	}
-	if byName["crypto-pool"].Wallets != 1 || byName["minexmr"].Wallets != 1 {
-		t.Errorf("wallet counts = %+v", byName)
-	}
-	if byName["dwarfpool"].XMR <= 0 {
-		t.Error("dwarfpool should have earnings")
 	}
 }
 
@@ -313,6 +290,19 @@ func BenchmarkAnalyzeCampaigns(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.AnalyzeCampaigns(campaigns)
+		analyzeAll(a, campaigns)
 	}
+}
+
+// analyzeAll runs AnalyzeCampaignWith over every campaign, the way the
+// collector does per component, and returns the campaigns with earnings,
+// highest first.
+func analyzeAll(a *Analyzer, campaigns []*model.Campaign) []CampaignProfit {
+	var out []CampaignProfit
+	for _, c := range campaigns {
+		if cp := AnalyzeCampaignWith(c, a.Collector.CollectWallet, a.Collector.QueryTime); cp.XMR > 0 {
+			out = append(out, cp)
+		}
+	}
+	return TopCampaigns(out, len(out))
 }

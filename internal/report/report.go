@@ -226,7 +226,7 @@ func (c *Counter) AddN(key string, n int) {
 	c.counts[key] += n
 }
 
-// Count returns the count for a key.
+// Count returns the count for a key. Only tests read it; the tables use Top.
 func (c *Counter) Count(key string) int { return c.counts[key] }
 
 // Len returns the number of distinct keys.

@@ -42,12 +42,10 @@ type Config struct {
 	// MaxRetained bounds retained jobs; the oldest finished job is evicted
 	// to admit a new one (default 16).
 	MaxRetained int
-	// Tick is the shadow recording-clock step between interventions
-	// (default 1s).
-	Tick time.Duration
 	// Now supplies job timestamps and the shadow clock's fork instant. It
 	// should be the same recording clock the live engine's timeseries use,
 	// so shadow series share the live wall-epoch grid. Default time.Now.
+	// No binary sets it: it is the clock seam tests pin.
 	Now func() time.Time
 	// Metrics optionally registers the scenario instrument set.
 	Metrics *obs.Registry
@@ -99,9 +97,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.MaxRetained <= 0 {
 		cfg.MaxRetained = 16
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now //cryptolint:allow directclock job timestamps default to wall clock when no recording clock is injected
@@ -196,7 +191,6 @@ func (m *Manager) run(id string) {
 		base:     m.cfg.Base,
 		state:    state,
 		forkedAt: forkedAt,
-		tick:     m.cfg.Tick,
 	})
 
 	m.mu.Lock()

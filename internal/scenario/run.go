@@ -120,9 +120,10 @@ type runInput struct {
 	// forkedAt seeds the replay clock (the live recording clock's reading at
 	// fork time).
 	forkedAt time.Time
-	// tick is the clock step between interventions.
-	tick time.Duration
 }
+
+// replayTick is the shadow recording-clock step between interventions.
+const replayTick = time.Second
 
 // replay builds the shadow engine from the exported state and drives the
 // scenario against it. It never touches the live engine.
@@ -161,7 +162,7 @@ func replay(in runInput) (*Result, error) {
 	baseTimelines := campaignTimelines(shadow, baseView)
 
 	for _, iv := range in.doc.ordered() {
-		instant := clock.Advance(in.tick)
+		instant := clock.Advance(replayTick)
 		applied, err := apply(shadow, forked, baseView, iv)
 		if err != nil {
 			return nil, err

@@ -59,13 +59,6 @@ type Endpoint struct {
 // String renders the endpoint as host:port.
 func (e Endpoint) String() string { return e.Host + ":" + strconv.Itoa(e.Port) }
 
-// MinesAnything reports whether the static pass found either an identifier or
-// a pool endpoint — i.e. static analysis alone was enough to characterize the
-// miner.
-func (r *Result) MinesAnything() bool {
-	return len(r.Identifiers) > 0 || len(r.PoolEndpoints) > 0
-}
-
 // Analyzer performs static analysis.
 type Analyzer struct {
 	rules   *yara.RuleSet
@@ -82,15 +75,6 @@ func New() *Analyzer {
 		scanner:         binfmt.NewScanner(),
 		MinStringLength: 6,
 	}
-}
-
-// NewWithRules returns an analyzer using a custom YARA rule set.
-func NewWithRules(rules *yara.RuleSet) *Analyzer {
-	a := New()
-	if rules != nil {
-		a.rules = rules
-	}
-	return a
 }
 
 // Analyze performs the full static pass over a sample's content.

@@ -42,8 +42,8 @@ func TestAnalyzeCleartextMiner(t *testing.T) {
 	if len(res.YARAMatches) == 0 {
 		t.Error("YARA miner rules should match a cleartext miner")
 	}
-	if !res.MinesAnything() {
-		t.Error("MinesAnything should be true")
+	if len(res.Identifiers) == 0 && len(res.PoolEndpoints) == 0 {
+		t.Error("cleartext miner should yield an identifier or a pool endpoint")
 	}
 	if res.Obfuscated {
 		t.Error("cleartext miner should not be flagged obfuscated")
@@ -111,8 +111,8 @@ func TestAnalyzeBenignBinary(t *testing.T) {
 		AddString("Copyright (c) Example Corp").
 		Build()
 	res := a.Analyze(content)
-	if res.MinesAnything() {
-		t.Error("benign binary should not mine anything")
+	if len(res.Identifiers) != 0 || len(res.PoolEndpoints) != 0 {
+		t.Error("benign binary should yield no identifier or pool endpoint")
 	}
 	if len(res.YARAMatches) != 0 {
 		t.Errorf("benign binary YARA matches = %v", res.YARAMatches)
@@ -183,16 +183,8 @@ func TestEndpointString(t *testing.T) {
 func TestAnalyzeEmptyContent(t *testing.T) {
 	a := New()
 	res := a.Analyze(nil)
-	if res.Format != model.FormatUnknown || res.MinesAnything() || res.Obfuscated {
+	if res.Format != model.FormatUnknown || len(res.Identifiers) != 0 || len(res.PoolEndpoints) != 0 || res.Obfuscated {
 		t.Errorf("empty content result = %+v", res)
-	}
-}
-
-func TestNewWithRulesNilFallsBack(t *testing.T) {
-	a := NewWithRules(nil)
-	content := binfmt.NewBuilder(model.FormatPE).AddString("stratum+tcp://pool.minexmr.com:4444").Build()
-	if res := a.Analyze(content); len(res.YARAMatches) == 0 {
-		t.Error("nil custom rules should fall back to built-in rules")
 	}
 }
 

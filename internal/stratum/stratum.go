@@ -50,13 +50,6 @@ type Response struct {
 	Error   *Error          `json:"error,omitempty"`
 }
 
-// Notification is a server-initiated frame (e.g. a new job push).
-type Notification struct {
-	Jsonrpc string          `json:"jsonrpc,omitempty"`
-	Method  string          `json:"method"`
-	Params  json.RawMessage `json:"params,omitempty"`
-}
-
 // Error is a JSON-RPC error object.
 type Error struct {
 	Code    int    `json:"code"`
@@ -163,21 +156,9 @@ func (c *Codec) ReadRequest() (*Request, error) {
 	return &req, nil
 }
 
-// ReadResponse reads and decodes one response frame.
-func (c *Codec) ReadResponse() (*Response, error) {
-	frame, err := c.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	var resp Response
-	if err := json.Unmarshal(frame, &resp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return &resp, nil
-}
-
 // Client is a Stratum mining client: the role the malware (or a stock miner
-// started by the malware) plays.
+// started by the malware) plays. Only tests drive it, against the pool
+// server.
 type Client struct {
 	conn   net.Conn
 	codec  *Codec
@@ -223,9 +204,13 @@ func (c *Client) call(method string, params any) (*Response, error) {
 		return nil, err
 	}
 	for {
-		resp, err := c.codec.ReadResponse()
+		frame, err := c.codec.ReadFrame()
 		if err != nil {
 			return nil, err
+		}
+		resp := new(Response)
+		if err := json.Unmarshal(frame, resp); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		// Skip notifications (frames without a matching id are re-read; a
 		// real client would queue job pushes, the simulator's miners poll).
@@ -365,8 +350,9 @@ func ParseTraffic(raw []byte) []ExtractedLogin {
 }
 
 // IsStratumTraffic reports whether the raw capture contains at least one
-// Stratum frame (login, submit, subscribe, ...). The sanity checks use it as
-// an indicator of mining capability.
+// Stratum frame (login, submit, subscribe, ...). Only tests call it, to
+// check that the sandbox capture carries Stratum; extraction parses the
+// capture with ParseTraffic.
 func IsStratumTraffic(raw []byte) bool {
 	s := string(raw)
 	for _, marker := range []string{

@@ -13,8 +13,7 @@ import (
 
 // Task is one sample traveling the stage chain, accumulating analysis
 // artefacts on the way to the collector. The artefact fields are owned by
-// the in-package stages; external code sees a Task only through the Stage
-// contract and the read accessors.
+// the in-package stages.
 type Task struct {
 	sample *model.Sample
 	// key is the lowercase hash the sample is keyed (and sharded) by.
@@ -34,16 +33,6 @@ type Task struct {
 	// the enrich stage; nil when the aggregation will compare none.
 	sig *fuzzyhash.Signature
 }
-
-// Sample returns the sample under analysis.
-func (t *Task) Sample() *model.Sample { return t.sample }
-
-// Key returns the lowercase SHA-256 the task is keyed and sharded by.
-func (t *Task) Key() string { return t.key }
-
-// Outcome returns the outcome assembled so far (nil before the sanity
-// stage has run).
-func (t *Task) Outcome() *SampleOutcome { return t.outcome }
 
 // Stage is one step of the per-shard analysis chain. Stages are the
 // engine's unit of composition: the engine wires a chain of stages per

@@ -120,7 +120,7 @@ func newShard(e *Engine) *shard {
 func (s *shard) sanity(it *Task) {
 	o := &SampleOutcome{SHA256: it.sample.SHA256}
 	it.outcome = o
-	o.Executable = isExecutableFormat(binfmt.DetectFormat(it.sample.Content))
+	o.Executable = binfmt.IsExecutable(binfmt.DetectFormat(it.sample.Content))
 	o.Whitelisted = s.e.cfg.OSINT.IsWhitelistedHash(it.sample.SHA256)
 
 	ent, ok := s.avCache[it.key]

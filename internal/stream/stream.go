@@ -231,12 +231,3 @@ type Results struct {
 	// QueryTime echoes the configured measurement end.
 	QueryTime time.Time
 }
-
-func isExecutableFormat(f model.ExecutableFormat) bool {
-	switch f {
-	case model.FormatPE, model.FormatELF, model.FormatJAR:
-		return true
-	default:
-		return false
-	}
-}

@@ -323,15 +323,6 @@ func (s *Series) Buckets(res time.Duration, from, to int64) ([]Bucket, bool) {
 	return nil, false
 }
 
-// Resolutions lists the series' level resolutions, finest first.
-func (s *Series) Resolutions() []time.Duration {
-	out := make([]time.Duration, 0, len(s.levels))
-	for _, lv := range s.levels {
-		out = append(out, time.Duration(lv.res)*time.Second)
-	}
-	return out
-}
-
 // merge folds other's buckets into s, level by level: the union of both
 // bucket sets, buckets with equal start times combined. Used when two
 // campaign timelines merge; both series must share the same ladder. The
@@ -611,18 +602,6 @@ func (st *Store) MergeTimeline(dst, src string) {
 		}
 		s.merge(from[metric])
 	}
-}
-
-// TimelineMetrics lists the metrics recorded for a campaign timeline,
-// sorted; nil when no timeline exists under the key.
-func (st *Store) TimelineMetrics(key string) []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	tl, ok := st.timelines[key]
-	if !ok {
-		return nil
-	}
-	return sortedKeys(tl)
 }
 
 // TimelineBuckets reads one campaign timeline metric.

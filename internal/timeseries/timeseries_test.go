@@ -172,10 +172,10 @@ func TestTimelineMerge(t *testing.T) {
 
 	st.MergeTimeline("a", "b")
 
-	if st.TimelineMetrics("b") != nil {
+	if _, ok := st.timelines["b"]; ok {
 		t.Error("source timeline should be gone after merge")
 	}
-	metrics := st.TimelineMetrics("a")
+	metrics := sortedKeys(st.timelines["a"])
 	if len(metrics) != 2 || metrics[0] != TimelineSamples || metrics[1] != TimelineXMR {
 		t.Errorf("merged metrics = %v", metrics)
 	}

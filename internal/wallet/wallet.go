@@ -189,17 +189,6 @@ func Classify(id string) model.Currency {
 	return model.CurrencyUnknown
 }
 
-// IsWallet reports whether the identifier is a recognized wallet address (as
-// opposed to an e-mail or an unknown identifier).
-func IsWallet(id string) bool {
-	switch Classify(id) {
-	case model.CurrencyUnknown, model.CurrencyEmail:
-		return false
-	default:
-		return true
-	}
-}
-
 // Candidate is one identifier found in free text.
 type Candidate struct {
 	ID       string
@@ -230,6 +219,7 @@ func (g *Generator) base58String(n int) string {
 func (g *Generator) Monero() string { return "4" + g.base58String(94) }
 
 // MoneroSub returns a 95-character Monero subaddress starting with '8'.
+// Only tests call it: the scanner oracle needs subaddresses in its corpus.
 func (g *Generator) MoneroSub() string { return "8" + g.base58String(94) }
 
 // Electroneum returns a 98-character Electroneum address.

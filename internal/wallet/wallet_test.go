@@ -156,14 +156,14 @@ func TestClassifyUnknown(t *testing.T) {
 
 func TestIsWallet(t *testing.T) {
 	g := newGen(3)
-	if !IsWallet(g.Monero()) {
-		t.Error("Monero address should be a wallet")
+	if got := Classify(g.Monero()); got != model.CurrencyMonero {
+		t.Errorf("Monero address classified %v, want a Monero wallet", got)
 	}
-	if IsWallet(g.Email()) {
-		t.Error("email should not be a wallet")
+	if got := Classify(g.Email()); got != model.CurrencyEmail {
+		t.Errorf("email classified %v, want an e-mail, not a wallet", got)
 	}
-	if IsWallet("random-user") {
-		t.Error("unknown identifier should not be a wallet")
+	if got := Classify("random-user"); got != model.CurrencyUnknown {
+		t.Errorf("unknown identifier classified %v, want unknown", got)
 	}
 }
 

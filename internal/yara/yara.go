@@ -426,6 +426,7 @@ func (rs *RuleSet) Match(content []byte) []MatchResult {
 }
 
 // AnyMatch reports whether at least one rule in the set matches content.
+// Only tests call it, as the short-circuit oracle for Match.
 func (rs *RuleSet) AnyMatch(content []byte) bool {
 	m := rs.m
 	var buf [stackWords]uint64
