@@ -16,10 +16,9 @@
 // The engine maintains longitudinal timeseries (internal/timeseries) as it
 // ingests: ecosystem-wide arrival/keep rates, campaign and priced-XMR
 // gauges, per-pool shares, and per-campaign timelines, held in fixed-memory
-// rings with cascaded downsampling (-series-retention; -no-series disables
-// the subsystem). Series ride in checkpoints and survive crash recovery
-// bit-identically; at drain the daemon renders the paper-style yearly
-// evolution table from them.
+// rings with cascaded downsampling (timeseries.DefaultLevels). Series ride
+// in checkpoints and survive crash recovery bit-identically; at drain the
+// daemon renders the paper-style yearly evolution table from them.
 //
 // Wallet statistics are collected by the asynchronous probe crawler
 // (internal/probe): first sightings enqueue probes, live profit is served
@@ -37,7 +36,7 @@
 //	GET  /api/v1/campaigns/{id}/timeline
 //	                            the campaign's longitudinal series
 //	GET  /api/v1/timeseries     ecosystem longitudinal series + yearly
-//	                            evolution (409 with -no-series)
+//	                            evolution
 //	GET  /api/v1/results        final summary (503 + Retry-After until drained)
 //	POST /api/v1/checkpoint     persist a snapshot now (409 without -data-dir)
 //	POST /api/v1/samples        remote ingestion (JSON or bulk NDJSON)
@@ -53,22 +52,22 @@
 //	                            Retry-After while replaying)
 //	GET  /api/v1/healthz        liveness probe
 //
-// What-if scenarios (-scenario-workers, -scenario-retention) replay typed
-// intervention documents — pool wallet bans, wallet seizures, AV signature
-// rollouts, PoW fork events — against a shadow fork of the engine's exported
-// state with its own forked pool ledgers, private aggregator and timeseries
-// stores. The live collector, WAL and published views are never touched; the
+// What-if scenarios replay typed intervention documents — pool wallet bans,
+// wallet seizures, AV signature rollouts, PoW fork events — against a shadow
+// fork of the engine's exported state with its own forked pool ledgers,
+// private aggregator and timeseries stores. The live collector, WAL and published views are never touched; the
 // delta endpoint reports per-campaign and ecosystem-wide earnings changes.
+// One replay runs at a time and the 16 newest jobs are retained.
 //
 // Usage:
 //
-//	streamd -seed 42 -scale 0.25 -shards 0 -rate 0 -http 127.0.0.1:8090 \
+//	streamd -seed 42 -scale 0.25 -rate 0 -http 127.0.0.1:8090 \
 //	        -data-dir ./streamd-state -checkpoint-every 5s
 //
 // With -rate 500 the feed replays at 500 samples/sec, approximating a live
-// malware feed; -rate 0 replays as fast as the stages drain. The process
-// keeps serving the API after the replay finishes; pass -exit-after-drain to
-// terminate instead (useful for scripting and smoke tests).
+// malware feed; -rate 0 replays as fast as the stages drain. The engine runs
+// one stage chain per GOMAXPROCS behind queues 64 deep. The process keeps
+// serving the API after the replay finishes, until SIGINT or SIGTERM.
 package main
 
 import (
@@ -76,8 +75,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -86,8 +87,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -102,37 +101,29 @@ import (
 	"cryptomining/internal/report"
 	"cryptomining/internal/scenario"
 	"cryptomining/internal/stream"
-	"cryptomining/internal/timeseries"
 	"cryptomining/pkg/apiv1"
 )
 
 func main() {
 	var (
-		seed           = flag.Int64("seed", 42, "ecosystem generation seed")
-		scale          = flag.Float64("scale", 0.25, "ecosystem scale factor")
-		shards         = flag.Int("shards", 0, "concurrent stage chains (0 = GOMAXPROCS)")
-		queue          = flag.Int("queue", 64, "bounded channel depth")
-		rate           = flag.Float64("rate", 0, "replay rate in samples/sec (0 = unthrottled)")
-		httpAddr       = flag.String("http", "127.0.0.1:8090", "HTTP API listen address")
-		dataDir        = flag.String("data-dir", "", "durable state directory: WAL + checkpoints, auto-resume on boot (empty = in-memory only)")
-		ckptEvery      = flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints)")
-		noFeed         = flag.Bool("no-feed", false, "skip the local feed replay; ingest only via POST /api/v1/samples")
-		exitAfterDrain = flag.Bool("exit-after-drain", false, "terminate once the replay has drained (ignored with -no-feed)")
-		probeHTTP      = flag.String("probe-http", "", "probe live pool servers over HTTP: path to a JSON file mapping pool name -> base URL (default: probe the in-process directory)")
-		probeInterval  = flag.Duration("probe-interval", 0, "wallet-stats TTL: cache entries older than this are re-probed (0 = probe once)")
-		probeRate      = flag.Float64("probe-rate", 0, "per-pool probe rate limit in requests/sec (0 = unlimited)")
-		probeWorkers   = flag.Int("probe-workers", 0, "concurrent probe workers (0 = default)")
-		noSeries       = flag.Bool("no-series", false, "disable the longitudinal timeseries subsystem (GET /api/v1/timeseries answers 409)")
-		seriesRet      = flag.String("series-retention", defaultSeriesRetention, "timeseries retention ladder as resolution:buckets pairs, finest first; memory stays bounded by buckets-per-level regardless of run length")
-		metricsAddr    = flag.String("metrics-addr", "", "additionally serve the Prometheus exposition on a dedicated listener (it is always mounted at /metrics on the main API address)")
-		debugAddr      = flag.String("debug-addr", "", "serve net/http/pprof (and a /metrics mirror) on this address (empty = pprof off)")
-		logLevel       = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		logFormat      = flag.String("log-format", "text", "log output format: text or json")
-		apiRate        = flag.Float64("api-rate", 0, "per-client GET rate limit in requests/sec (0 = unlimited); excess answers 429 + Retry-After")
-		apiBurst       = flag.Int("api-burst", 0, "per-client rate-limit burst depth (0 = -api-rate rounded up)")
-		scenWorkers    = flag.Int("scenario-workers", 1, "concurrent what-if scenario replays (0 disables the /api/v1/scenarios endpoints)")
-		scenRetention  = flag.Int("scenario-retention", 16, "scenario jobs retained for status/delta queries before the oldest finished job is evicted")
-		version        = flag.Bool("version", false, "print version and exit")
+		seed          = flag.Int64("seed", 42, "ecosystem generation seed")
+		scale         = flag.Float64("scale", 0.25, "ecosystem scale factor")
+		rate          = flag.Float64("rate", 0, "replay rate in samples/sec (0 = unthrottled)")
+		httpAddr      = flag.String("http", "127.0.0.1:8090", "HTTP API listen address")
+		dataDir       = flag.String("data-dir", "", "durable state directory: WAL + checkpoints, auto-resume on boot (empty = in-memory only)")
+		ckptEvery     = flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints)")
+		noFeed        = flag.Bool("no-feed", false, "skip the local feed replay; ingest only via POST /api/v1/samples")
+		probeHTTP     = flag.String("probe-http", "", "probe live pool servers over HTTP: path to a JSON file mapping pool name -> base URL (default: probe the in-process directory)")
+		probeInterval = flag.Duration("probe-interval", 0, "wallet-stats TTL: cache entries older than this are re-probed (0 = probe once)")
+		probeRate     = flag.Float64("probe-rate", 0, "per-pool probe rate limit in requests/sec (0 = unlimited)")
+		probeWorkers  = flag.Int("probe-workers", 0, "concurrent probe workers (0 = default)")
+		metricsAddr   = flag.String("metrics-addr", "", "additionally serve the Prometheus exposition on a dedicated listener (it is always mounted at /metrics on the main API address)")
+		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof (and a /metrics mirror) on this address (empty = pprof off)")
+		logLevel      = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		logFormat     = flag.String("log-format", "text", "log output format: text or json")
+		apiRate       = flag.Float64("api-rate", 0, "per-client GET rate limit in requests/sec (0 = unlimited); excess answers 429 + Retry-After")
+		apiBurst      = flag.Int("api-burst", 0, "per-client rate-limit burst depth (0 = -api-rate rounded up)")
+		version       = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -161,23 +152,16 @@ func main() {
 	obs.RegisterRuntimeMetrics(reg)
 	obs.RegisterBuildInfo(reg)
 
-	levels, err := validateFlags(flagValues{
-		scale:           *scale,
-		shards:          *shards,
-		queue:           *queue,
-		rate:            *rate,
-		ckptEvery:       *ckptEvery,
-		probeInterval:   *probeInterval,
-		probeRate:       *probeRate,
-		probeWorkers:    *probeWorkers,
-		noSeries:        *noSeries,
-		seriesRetention: *seriesRet,
-		apiRate:         *apiRate,
-		apiBurst:        *apiBurst,
-		scenWorkers:     *scenWorkers,
-		scenRetention:   *scenRetention,
-	})
-	if err != nil {
+	if err := validateFlags(flagValues{
+		scale:         *scale,
+		rate:          *rate,
+		ckptEvery:     *ckptEvery,
+		probeInterval: *probeInterval,
+		probeRate:     *probeRate,
+		probeWorkers:  *probeWorkers,
+		apiRate:       *apiRate,
+		apiBurst:      *apiBurst,
+	}); err != nil {
 		fatal("invalid flags", "err", err)
 	}
 
@@ -193,10 +177,6 @@ func main() {
 	}
 
 	streamCfg := core.NewFromUniverse(u).StreamConfig()
-	streamCfg.Shards = *shards // 0 = GOMAXPROCS default
-	streamCfg.QueueDepth = *queue
-	streamCfg.Timeseries.Disabled = *noSeries
-	streamCfg.Timeseries.Levels = levels
 	streamCfg.Metrics = reg
 	streamCfg.Logger = logger
 
@@ -325,19 +305,9 @@ func main() {
 
 	// What-if scenario replays fork the engine's exported state into private
 	// shadows; the manager never touches the live collector, WAL or views.
-	var scenarios *scenario.Manager
-	if *scenWorkers > 0 {
-		scenarios, err = scenario.NewManager(scenario.Config{
-			Engine:        eng,
-			Base:          streamCfg,
-			MaxConcurrent: *scenWorkers,
-			MaxRetained:   *scenRetention,
-			Metrics:       reg,
-		})
-		if err != nil {
-			fatal("scenario manager", "err", err)
-		}
-		logd.Info("what-if scenarios enabled", "workers", *scenWorkers, "retention", *scenRetention)
+	scenarios, err := scenario.NewManager(scenario.Config{Engine: eng, Base: streamCfg, Metrics: reg})
+	if err != nil {
+		fatal("scenario manager", "err", err)
 	}
 
 	apiCfg := api.Config{
@@ -427,9 +397,7 @@ func main() {
 				"xmr", model.FormatXMR(res.TotalXMR), "usd", model.FormatUSD(res.TotalUSD))
 			// The paper-style longitudinal breakdown, rendered from the live
 			// series the daemon keeps serving at /api/v1/timeseries.
-			if snap, err := eng.Timeseries(stream.TimeseriesQuery{}); err == nil {
-				logd.Info("yearly evolution (data time)\n" + yearlyEvolutionTable(snap.Years))
-			}
+			logd.Info("yearly evolution (data time)\n" + yearlyEvolutionTable(eng.CurrentView().Years))
 		}()
 	}
 
@@ -457,14 +425,7 @@ func main() {
 		}()
 	}
 
-	if *exitAfterDrain && !*noFeed {
-		select {
-		case <-drained:
-		case <-ctx.Done():
-		}
-	} else {
-		<-ctx.Done()
-	}
+	<-ctx.Done()
 	if st != nil {
 		// Best-effort parting snapshot on graceful shutdown; the WAL alone
 		// already guarantees a correct (if slower) resume.
@@ -524,107 +485,63 @@ func startAuxListeners(logd *slog.Logger, fatal func(string, ...any), reg *obs.R
 	}
 }
 
-// defaultSeriesRetention is the flag form of timeseries.DefaultLevels: two
-// minutes of seconds, three hours of minutes, a week of hours, a decade of
-// days.
-const defaultSeriesRetention = "1s:120,1m:180,1h:168,1d:3650"
-
 // flagValues collects the flags validateFlags fail-fasts on.
 type flagValues struct {
-	scale           float64
-	shards          int
-	queue           int
-	rate            float64
-	ckptEvery       time.Duration
-	probeInterval   time.Duration
-	probeRate       float64
-	probeWorkers    int
-	noSeries        bool
-	seriesRetention string
-	apiRate         float64
-	apiBurst        int
-	scenWorkers     int
-	scenRetention   int
+	scale         float64
+	rate          float64
+	ckptEvery     time.Duration
+	probeInterval time.Duration
+	probeRate     float64
+	probeWorkers  int
+	apiRate       float64
+	apiBurst      int
 }
 
 // validateFlags rejects flag values that would otherwise produce undefined
-// scheduler/store behavior (negative rates feeding token buckets, negative
-// durations feeding tickers, nonsensical retention ladders) with a clear
-// startup error instead. Zero keeps its documented sentinel meaning where
-// one exists (unlimited / default / disabled). It returns the parsed
-// timeseries retention ladder (nil with -no-series).
-func validateFlags(v flagValues) ([]timeseries.LevelSpec, error) {
-	if !(v.scale > 0) { // also rejects NaN
-		return nil, fmt.Errorf("-scale %v: must be > 0", v.scale)
+// scheduler behaviour (negative or non-finite rates feeding token buckets and
+// tickers, negative durations feeding tickers) with a clear startup error
+// instead. Zero keeps its documented sentinel meaning where one exists
+// (unlimited / default / disabled).
+func validateFlags(v flagValues) error {
+	if !(v.scale > 0) || math.IsInf(v.scale, 1) { // also rejects NaN
+		return fmt.Errorf("-scale %v: must be finite and > 0", v.scale)
 	}
-	if v.shards < 0 {
-		return nil, fmt.Errorf("-shards %d: must be >= 0 (0 = GOMAXPROCS)", v.shards)
+	if !finiteNonNeg(v.rate) {
+		return fmt.Errorf("-rate %v: must be finite and >= 0 (0 = unthrottled)", v.rate)
 	}
-	if v.queue < 0 {
-		return nil, fmt.Errorf("-queue %d: must be >= 0 (0 = default depth)", v.queue)
-	}
-	if v.rate < 0 {
-		return nil, fmt.Errorf("-rate %v: must be >= 0 (0 = unthrottled)", v.rate)
+	if _, ok := tickInterval(v.rate); v.rate > 0 && !ok {
+		return fmt.Errorf("-rate %v: the tick interval 1s/rate must be at least 1ns and fit a time.Duration", v.rate)
 	}
 	if v.ckptEvery < 0 {
-		return nil, fmt.Errorf("-checkpoint-every %v: must be >= 0 (0 = periodic checkpoints off)", v.ckptEvery)
+		return fmt.Errorf("-checkpoint-every %v: must be >= 0 (0 = periodic checkpoints off)", v.ckptEvery)
 	}
 	if v.probeInterval < 0 {
-		return nil, fmt.Errorf("-probe-interval %v: must be >= 0 (0 = probe once)", v.probeInterval)
+		return fmt.Errorf("-probe-interval %v: must be >= 0 (0 = probe once)", v.probeInterval)
 	}
-	if v.probeRate < 0 {
-		return nil, fmt.Errorf("-probe-rate %v: must be >= 0 (0 = unlimited)", v.probeRate)
+	if !finiteNonNeg(v.probeRate) {
+		return fmt.Errorf("-probe-rate %v: must be finite and >= 0 (0 = unlimited)", v.probeRate)
 	}
 	if v.probeWorkers < 0 {
-		return nil, fmt.Errorf("-probe-workers %d: must be >= 0 (0 = default)", v.probeWorkers)
+		return fmt.Errorf("-probe-workers %d: must be >= 0 (0 = default)", v.probeWorkers)
 	}
-	if v.apiRate < 0 {
-		return nil, fmt.Errorf("-api-rate %v: must be >= 0 (0 = unlimited)", v.apiRate)
+	if !finiteNonNeg(v.apiRate) {
+		return fmt.Errorf("-api-rate %v: must be finite and >= 0 (0 = unlimited)", v.apiRate)
 	}
 	if v.apiBurst < 0 {
-		return nil, fmt.Errorf("-api-burst %d: must be >= 0 (0 = default)", v.apiBurst)
+		return fmt.Errorf("-api-burst %d: must be >= 0 (0 = default)", v.apiBurst)
 	}
-	if v.scenWorkers < 0 {
-		return nil, fmt.Errorf("-scenario-workers %d: must be >= 0 (0 = scenarios off)", v.scenWorkers)
-	}
-	if v.scenRetention < 0 {
-		return nil, fmt.Errorf("-scenario-retention %d: must be >= 0 (0 = default)", v.scenRetention)
-	}
-	if v.noSeries {
-		return nil, nil
-	}
-	levels, err := parseRetention(v.seriesRetention)
-	if err != nil {
-		return nil, fmt.Errorf("-series-retention %q: %w", v.seriesRetention, err)
-	}
-	return levels, nil
+	return nil
 }
 
-// parseRetention parses a retention ladder spec: comma-separated
-// resolution:buckets pairs, e.g. "1s:120,1m:180,1h:168,1d:3650". Resolutions
-// accept Go durations plus a whole-day "d" unit.
-func parseRetention(spec string) ([]timeseries.LevelSpec, error) {
-	var levels []timeseries.LevelSpec
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		res, count, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("level %q: want resolution:buckets", part)
-		}
-		d, err := timeseries.ParseDuration(res)
-		if err != nil {
-			return nil, fmt.Errorf("level %q: %w", part, err)
-		}
-		n, err := strconv.Atoi(count)
-		if err != nil {
-			return nil, fmt.Errorf("level %q: bucket count %q is not an integer", part, count)
-		}
-		levels = append(levels, timeseries.LevelSpec{Resolution: d, Buckets: n})
-	}
-	if err := timeseries.ValidateLevels(levels); err != nil {
-		return nil, err
-	}
-	return levels, nil
+// finiteNonNeg reports whether x is a finite number >= 0 (false for NaN).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// tickInterval is the replay ticker period for a positive rate; ok is false
+// when 1s/rate is not a positive time.Duration (under 1ns, or too long to
+// represent).
+func tickInterval(rate float64) (d time.Duration, ok bool) {
+	iv := float64(time.Second) / rate
+	return time.Duration(iv), iv >= 1 && iv < math.MaxInt64
 }
 
 // yearlyEvolutionTable renders the live yearly breakdown as the paper-style
@@ -694,7 +611,8 @@ func replay(ctx context.Context, submit func(context.Context, *model.Sample) err
 
 	var tick <-chan time.Time
 	if rate > 0 {
-		t := time.NewTicker(time.Duration(float64(time.Second) / rate))
+		iv, _ := tickInterval(rate)
+		t := time.NewTicker(iv)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -735,7 +653,11 @@ func checkFeedMeta(dir string, seed int64, scale float64, samples int) error {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		buf, _ := json.Marshal(want)
-		return os.WriteFile(path, buf, 0o644)
+		_, err := persist.WriteFileAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(buf)
+			return err
+		})
+		return err
 	}
 	if err != nil {
 		return err

@@ -12,8 +12,7 @@
 //	GET  /api/v1/timeseries     ecosystem longitudinal series (samples,
 //	                            kept, campaigns, xmr, pool:* shares) plus
 //	                            the data-time yearly-evolution breakdown
-//	                            (params: metric, resolution, window; 409
-//	                            when the daemon runs with -no-series)
+//	                            (params: metric, resolution, window)
 //	GET  /api/v1/results        final run summary (503 + Retry-After while
 //	                            the replay is still in flight)
 //	POST /api/v1/checkpoint     persist a snapshot now (409 when the daemon

@@ -70,10 +70,8 @@ func TestErrorEnvelopes(t *testing.T) {
 		{bare, "GET", "/api/v1/campaigns/abc", "", 400, apiv1.CodeBadRequest},
 		{bare, "GET", "/api/v1/campaigns/999999", "", 404, apiv1.CodeNotFound},
 		{bare, "GET", "/api/v1/campaigns/abc/timeline", "", 400, apiv1.CodeBadRequest},
-		{bare, "GET", "/api/v1/campaigns/1/timeline", "", 409, apiv1.CodeTimeseriesDisabled},
 		{full, "GET", "/api/v1/campaigns/999999/timeline", "", 404, apiv1.CodeNotFound},
 		{bare, "GET", "/api/v1/timeseries?resolution=x", "", 400, apiv1.CodeBadRequest},
-		{bare, "GET", "/api/v1/timeseries", "", 409, apiv1.CodeTimeseriesDisabled},
 		{bare, "GET", "/api/v1/results", "", 503, apiv1.CodeResultsPending},
 		{bare, "POST", "/api/v1/checkpoint", "", 409, apiv1.CodePersistenceDisabled},
 		{bare, "POST", "/api/v1/samples", "{nope", 400, apiv1.CodeBadRequest},
@@ -104,13 +102,11 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 }
 
-// newBareDaemon serves an engine without series, prober, scenarios,
-// checkpoint, finish or results; its submit hook answers a "busy" sample
-// with backpressure and a "closed" one with a finished engine.
+// newBareDaemon serves an engine without prober, scenarios, checkpoint,
+// finish or results; its submit hook answers a "busy" sample with
+// backpressure and a "closed" one with a finished engine.
 func newBareDaemon(t *testing.T) *httptest.Server {
-	scfg := core.NewFromUniverse(testUniverse()).StreamConfig()
-	scfg.Timeseries.Disabled = true
-	eng := stream.New(scfg)
+	eng := stream.New(core.NewFromUniverse(testUniverse()).StreamConfig())
 	eng.Start(context.Background())
 	srv := httptest.NewServer(api.New(api.Config{
 		Engine: eng,

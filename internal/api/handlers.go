@@ -346,13 +346,9 @@ func parseTSQuery(r *http.Request) (stream.TimeseriesQuery, error) {
 }
 
 // writeTSError maps the engine's timeseries errors onto the envelope:
-// disabled subsystem is a daemon-configuration conflict (409), unknown
-// resolutions/metrics are client errors (400).
+// unknown resolutions/metrics are client errors (400).
 func (s *Server) writeTSError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, stream.ErrTimeseriesDisabled):
-		s.error(w, http.StatusConflict, apiv1.CodeTimeseriesDisabled,
-			"timeseries disabled (run without -no-series)")
 	case errors.Is(err, stream.ErrUnknownResolution), errors.Is(err, stream.ErrUnknownMetric):
 		s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest, err.Error())
 	default:

@@ -1,16 +1,12 @@
 package api_test
 
 import (
-	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"testing"
 
 	"cryptomining/internal/api"
-	"cryptomining/internal/core"
-	"cryptomining/internal/stream"
 	"cryptomining/pkg/apiv1"
 )
 
@@ -117,32 +113,6 @@ func TestTimeseriesParamValidation(t *testing.T) {
 	getJSON(t, d.ts.URL+"/api/v1/timeseries?resolution=1d&window=30d", &ts)
 	if ts.ResolutionSeconds != 86400 {
 		t.Errorf("1d resolution = %ds", ts.ResolutionSeconds)
-	}
-}
-
-// TestTimeseriesDisabled409 pins the conflict envelope when the daemon runs
-// without the subsystem.
-func TestTimeseriesDisabled409(t *testing.T) {
-	scfg := core.NewFromUniverse(testUniverse()).StreamConfig()
-	scfg.Timeseries.Disabled = true
-	eng := stream.New(scfg)
-	eng.Start(context.Background())
-	srv := httptest.NewServer(api.New(api.Config{
-		Engine: eng,
-	}).Handler())
-	defer srv.Close()
-
-	for _, path := range []string{"/api/v1/timeseries", "/api/v1/campaigns/1/timeline"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Errorf("%s: status %d, want 409", path, resp.StatusCode)
-		}
-		if env := decodeEnvelope(t, resp); env.Error.Code != apiv1.CodeTimeseriesDisabled {
-			t.Errorf("%s: code %q", path, env.Error.Code)
-		}
 	}
 }
 

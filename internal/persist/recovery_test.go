@@ -2,6 +2,8 @@ package persist_test
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -268,6 +270,90 @@ func TestResumeFreshDirAndFullCycle(t *testing.T) {
 	if got := eng2.Stats(); got.Analyzed != int64(u.Corpus.Len()) || got.Submitted != int64(len(hashes)) {
 		t.Fatalf("restored stats lost history: analyzed %d submitted %d (corpus %d)",
 			got.Analyzed, got.Submitted, u.Corpus.Len())
+	}
+}
+
+// TestStrayTempFilesIgnored plants what a crash in the middle of
+// WriteFileAtomic leaves behind — a torn .tmp beside a newer snapshot name
+// and beside a sidecar file — and requires the data directory to read back
+// the last complete state, clear the strays, and keep a failed rewrite from
+// touching the file it was replacing.
+func TestStrayTempFilesIgnored(t *testing.T) {
+	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.2))
+	hashes := feedOrder(u, 3)
+	want := runClean(t, u, hashes, 2)
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	side := filepath.Join(dir, "feed.json")
+	if _, err := persist.WriteFileAtomic(side, func(w io.Writer) error {
+		_, err := w.Write([]byte("pinned"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.WriteFileAtomic(side, func(w io.Writer) error {
+		w.Write([]byte("torn"))
+		return errors.New("disk full")
+	}); err == nil {
+		t.Fatal("a failed write reported success")
+	}
+	if raw, _ := os.ReadFile(side); string(raw) != "pinned" {
+		t.Fatalf("failed rewrite clobbered the file: %q", raw)
+	}
+
+	st, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := stream.New(streamCfg(u, 2))
+	if _, err := st.Resume(ctx, eng); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hashes {
+		s, _ := u.Corpus.Get(h)
+		if err := st.Submit(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	strays := []string{
+		filepath.Join(dir, "snap-99999999999999999999.snap.tmp"),
+		side + ".tmp",
+	}
+	for _, p := range strays {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	eng2 := stream.New(streamCfg(u, 2))
+	if info, err := st2.Resume(ctx, eng2); err != nil || !info.Resumed {
+		t.Fatalf("resume beside stray temp files: %+v, %v", info, err)
+	}
+	got, err := eng2.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsIdentical(t, got, want)
+	for _, p := range strays {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open: %v", filepath.Base(p), err)
+		}
+	}
+	if raw, _ := os.ReadFile(side); string(raw) != "pinned" {
+		t.Fatalf("sidecar file = %q after reopen", raw)
 	}
 }
 

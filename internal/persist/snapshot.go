@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,35 +74,53 @@ func listSnapshots(dir string) ([]uint64, error) {
 // writeSnapshot atomically persists one checkpoint.
 func writeSnapshot(dir string, seq uint64, st *stream.EngineState) (path string, size int64, err error) {
 	path = snapshotPath(dir, seq)
-	tmp := path + tmpSuffix
-	f, err := os.Create(tmp)
+	size, err = WriteFileAtomic(path, func(w io.Writer) error {
+		if err := gob.NewEncoder(w).Encode(&snapshotFile{Version: snapVersion, NextSeq: seq, State: st}); err != nil {
+			return fmt.Errorf("persist: encode snapshot: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return "", 0, err
 	}
-	if err := gob.NewEncoder(f).Encode(&snapshotFile{Version: snapVersion, NextSeq: seq, State: st}); err != nil {
+	return path, size, nil
+}
+
+// WriteFileAtomic replaces path with what write produces, or leaves it
+// untouched: the bytes go to a .tmp sibling that is fsynced, renamed over
+// path, and made durable with a directory fsync. A crash mid-write leaves
+// only the stray .tmp, which Open removes. It returns the written size.
+func WriteFileAtomic(path string, write func(io.Writer) error) (int64, error) {
+	tmp := path + tmpSuffix
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	fail := func(err error) (int64, error) {
 		f.Close()
 		os.Remove(tmp)
-		return "", 0, fmt.Errorf("persist: encode snapshot: %w", err)
+		return 0, err
+	}
+	if err := write(f); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", 0, err
+		return fail(err)
 	}
-	info, _ := f.Stat()
-	if info != nil {
+	var size int64
+	if info, _ := f.Stat(); info != nil {
 		size = info.Size()
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return "", 0, err
+		return 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return "", 0, err
+		return 0, err
 	}
-	syncDir(dir)
-	return path, size, nil
+	syncDir(filepath.Dir(path))
+	return size, nil
 }
 
 // loadSnapshot reads and validates one snapshot file.

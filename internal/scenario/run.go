@@ -145,7 +145,7 @@ func replay(in runInput) (*Result, error) {
 	cfg.Prober = nil  // pricing must read the forked ledgers synchronously
 	cfg.Metrics = nil // never rebind live instruments to the shadow
 	cfg.Logger = nil
-	cfg.Timeseries.Clock = clock.Now
+	cfg.Clock = clock.Now
 
 	shadow := stream.New(cfg)
 	if err := shadow.RestoreState(in.state); err != nil {

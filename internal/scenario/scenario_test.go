@@ -41,9 +41,7 @@ func newStreamedEngine(t *testing.T, seed int64, n int) (*stream.Engine, stream.
 		Network:   gen.Network(),
 		QueryTime: gen.QueryTime(),
 		Shards:    shards,
-		Timeseries: stream.TimeseriesOptions{
-			Clock: clock.now,
-		},
+		Clock:     clock.now,
 	}
 	eng := stream.New(cfg)
 	ctx := context.Background()

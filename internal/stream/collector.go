@@ -83,7 +83,7 @@ type collector struct {
 	// now is the timeseries recording timestamp for the event currently
 	// being collected; the engine reads its clock once per event (collected
 	// sample or probe completion) so every series point the event records
-	// shares one timestamp. Unused when the timeseries store is disabled.
+	// shares one timestamp.
 	now time.Time
 }
 
@@ -118,12 +118,10 @@ func newCollector(e *Engine) *collector {
 	} else {
 		c.collect = c.wallets.CollectWallet
 	}
-	if e.ts != nil {
-		// Campaign timelines are keyed by the partition's stable component
-		// keys; when components merge, the timelines merge with them, so a
-		// campaign's timeline always covers its full constituent history.
-		c.agg.SetMergeHook(e.ts.MergeTimeline)
-	}
+	// Campaign timelines are keyed by the partition's stable component keys;
+	// when components merge, the timelines merge with them, so a campaign's
+	// timeline always covers its full constituent history.
+	c.agg.SetMergeHook(e.ts.MergeTimeline)
 	return c
 }
 
@@ -294,16 +292,15 @@ func (c *collector) keep(o *SampleOutcome) {
 	}
 	c.e.stats.campaigns.Store(int64(c.agg.Len()))
 
-	if ts := c.e.ts; ts != nil {
-		ts.Record(timeseries.SeriesKept, c.now, 1)
-		ts.Record(timeseries.SeriesCampaigns, c.now, float64(c.agg.Len()))
-		if pn := c.poolNameOf(&o.Record); pn != "" {
-			ts.Record(timeseries.PoolSeriesPrefix+pn, c.now, 1)
-		}
-		ts.RecordYear(o.Record.FirstSeen)
-		if key, ok := c.agg.ComponentKey(o.Record.SHA256); ok {
-			ts.RecordTimeline(key, timeseries.TimelineSamples, c.now, 1)
-		}
+	ts := c.e.ts
+	ts.Record(timeseries.SeriesKept, c.now, 1)
+	ts.Record(timeseries.SeriesCampaigns, c.now, float64(c.agg.Len()))
+	if pn := c.poolNameOf(&o.Record); pn != "" {
+		ts.Record(timeseries.PoolSeriesPrefix+pn, c.now, 1)
+	}
+	ts.RecordYear(o.Record.FirstSeen)
+	if key, ok := c.agg.ComponentKey(o.Record.SHA256); ok {
+		ts.RecordTimeline(key, timeseries.TimelineSamples, c.now, 1)
 	}
 
 	// Live profit running totals: first sighting of a wallet. With a prober
@@ -314,10 +311,8 @@ func (c *collector) keep(o *SampleOutcome) {
 	if o.Record.HasIdentifier() && !c.seenWallets[o.Record.User] {
 		wallet := o.Record.User
 		c.seenWallets[wallet] = true
-		if ts := c.e.ts; ts != nil {
-			if key, ok := c.agg.WalletComponentKey(wallet); ok {
-				ts.RecordTimeline(key, timeseries.TimelineWallets, c.now, 1)
-			}
+		if key, ok := c.agg.WalletComponentKey(wallet); ok {
+			ts.RecordTimeline(key, timeseries.TimelineWallets, c.now, 1)
 		}
 		if p := c.e.cfg.Prober; p != nil {
 			p.Enqueue(wallet)
@@ -395,9 +390,7 @@ func (c *collector) reconcileProbeCache(wallets []string) {
 	if p == nil {
 		return
 	}
-	if c.e.ts != nil {
-		c.now = c.e.cfg.Timeseries.Clock()
-	}
+	c.now = c.e.cfg.Clock()
 	for _, w := range wallets {
 		if ent, ok := p.Peek(w); ok {
 			c.applyProbedActivity(w, ent.Activity)
@@ -412,13 +405,12 @@ func (c *collector) reconcileProbeCache(wallets []string) {
 // activities as no-op deltas) from perturbing the restored series. Called
 // under e.mu.
 func (c *collector) recordProfitTS(wallet string, deltaXMR float64) {
-	ts := c.e.ts
-	if ts == nil || deltaXMR == 0 {
+	if deltaXMR == 0 {
 		return
 	}
-	ts.Record(timeseries.SeriesXMR, c.now, c.e.stats.liveXMR())
+	c.e.ts.Record(timeseries.SeriesXMR, c.now, c.e.stats.liveXMR())
 	if key, ok := c.agg.WalletComponentKey(wallet); ok {
-		ts.RecordTimeline(key, timeseries.TimelineXMR, c.now, deltaXMR)
+		c.e.ts.RecordTimeline(key, timeseries.TimelineXMR, c.now, deltaXMR)
 	}
 }
 

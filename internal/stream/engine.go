@@ -65,11 +65,11 @@ type Engine struct {
 	// mu, loaded lock-free by readers; never nil (New seeds epoch 0).
 	view atomic.Pointer[View]
 
-	// ts is the longitudinal metrics store (nil when disabled). The
-	// collector records into it while holding mu, so what it holds is
-	// consistent with the collector state a checkpoint exports beside it;
-	// the store also takes its own RWMutex on every call, which is what lets
-	// the timeseries reads (Timeseries, CampaignTimeline) run without mu.
+	// ts is the longitudinal metrics store. The collector records into it
+	// while holding mu, so what it holds is consistent with the collector
+	// state a checkpoint exports beside it; the store also takes its own
+	// RWMutex on every call, which is what lets the timeseries reads
+	// (Timeseries, CampaignTimeline) run without mu.
 	ts *timeseries.Store
 
 	// ackLow / ackAbove track which submission sequence numbers (SubmitSeq)
@@ -224,16 +224,11 @@ func New(cfg Config) *Engine {
 		ackAbove: map[uint64]struct{}{},
 		subs:     map[int]chan Event{},
 	}
-	if !cfg.Timeseries.Disabled {
-		ts, err := timeseries.NewStore(cfg.Timeseries.Levels)
-		if err != nil {
-			// A malformed retention ladder is a configuration programming
-			// error; callers taking ladders from user input validate with
-			// timeseries.ValidateLevels first.
-			panic(err)
-		}
-		e.ts = ts
+	ts, err := timeseries.NewStore(nil)
+	if err != nil {
+		panic(err) // the default ladder is valid by construction
 	}
+	e.ts = ts
 	for i := 0; i < cfg.Shards; i++ {
 		e.shards = append(e.shards, newShard(e))
 	}
@@ -273,9 +268,7 @@ func (e *Engine) probeUpdateLocked(u probe.Update) {
 	if e.col.finalized {
 		return
 	}
-	if e.ts != nil {
-		e.col.now = e.cfg.Timeseries.Clock()
-	}
+	e.col.now = e.cfg.Clock()
 	if e.col.seenWallets[u.Wallet] {
 		e.col.applyProbedActivity(u.Wallet, u.Activity)
 		// Only a wallet the dataset has seen can change campaign figures, and
@@ -412,18 +405,14 @@ func (e *Engine) collect(ctx context.Context) {
 				// One clock read covers every series point this sample records
 				// (arrival, keep, retroactive keeps it triggers), keeping the
 				// recorded sequence deterministic for a deterministic feed.
-				if e.ts != nil {
-					e.col.now = e.cfg.Timeseries.Clock()
-				}
+				e.col.now = e.cfg.Clock()
 				// Re-observed hashes count as duplicates, not as analyzed
 				// throughput. The sequence ack stays under the mutex so a
 				// concurrent state export sees watermark and collector state
 				// move as one.
 				if e.col.handle(it) {
 					analyzed++
-					if e.ts != nil {
-						e.ts.Record(timeseries.SeriesSamples, e.col.now, 1)
-					}
+					e.ts.Record(timeseries.SeriesSamples, e.col.now, 1)
 				} else {
 					duplicates++
 				}
@@ -670,10 +659,6 @@ func (e *Engine) HasSample(sha string) bool {
 	return ok
 }
 
-// ErrTimeseriesDisabled is returned by the timeseries queries when the
-// engine runs with Config.Timeseries.Disabled.
-var ErrTimeseriesDisabled = errors.New("stream: timeseries disabled")
-
 // ErrUnknownResolution is returned when a timeseries query names a
 // resolution the retention ladder has no level for.
 var ErrUnknownResolution = errors.New("stream: no timeseries level at that resolution")
@@ -690,7 +675,7 @@ type TimeseriesQuery struct {
 	// Resolution selects the retention level (0 = the finest configured).
 	Resolution time.Duration
 	// Window bounds the series to the most recent span, resolved against
-	// the engine's own recording clock (Config.Timeseries.Clock) — not the
+	// the engine's own recording clock (Config.Clock) — not the
 	// caller's wall clock, which may be unrelated when the clock is
 	// injected. Overrides From when set.
 	Window time.Duration
@@ -733,8 +718,7 @@ type TimeseriesSnapshot struct {
 
 // resolveTSQuery validates the query against the store's ladder and
 // resolves a relative window into an absolute From bound on the engine's
-// recording clock. Caller must have checked e.ts != nil; no lock is needed
-// (the ladder is immutable and the clock must be goroutine-safe).
+// recording clock. No lock is needed (the ladder is immutable and the clock must be goroutine-safe).
 func (e *Engine) resolveTSQuery(q TimeseriesQuery) (TimeseriesQuery, error) {
 	if q.Resolution == 0 {
 		q.Resolution = e.ts.FinestResolution()
@@ -743,7 +727,7 @@ func (e *Engine) resolveTSQuery(q TimeseriesQuery) (TimeseriesQuery, error) {
 		return q, fmt.Errorf("%w: %v (configured: %v)", ErrUnknownResolution, q.Resolution, availableResolutions(e.ts))
 	}
 	if q.Window > 0 {
-		from := e.cfg.Timeseries.Clock().Add(-q.Window).Unix()
+		from := e.cfg.Clock().Add(-q.Window).Unix()
 		// Align down to the level's bucket boundary so the bucket covering
 		// the window start is included — otherwise any window shorter than
 		// the elapsed part of the open bucket would filter out the very
@@ -770,9 +754,6 @@ func availableResolutions(ts *timeseries.Store) []time.Duration {
 // time, unaffected by the window); metric-filtered queries omit it, keeping
 // the polling shape cheap.
 func (e *Engine) Timeseries(q TimeseriesQuery) (TimeseriesSnapshot, error) {
-	if e.ts == nil {
-		return TimeseriesSnapshot{}, ErrTimeseriesDisabled
-	}
 	q, err := e.resolveTSQuery(q)
 	if err != nil {
 		return TimeseriesSnapshot{}, err
@@ -830,9 +811,6 @@ func (e *Engine) yearStats() []YearStats {
 // Timelines follow the campaign through partition merges, so a merged
 // campaign's timeline covers the full history of all its constituents.
 func (e *Engine) CampaignTimeline(id int, q TimeseriesQuery) (TimeseriesSnapshot, bool, error) {
-	if e.ts == nil {
-		return TimeseriesSnapshot{}, false, ErrTimeseriesDisabled
-	}
 	timelineMetrics := []string{timeseries.TimelineSamples, timeseries.TimelineWallets, timeseries.TimelineXMR}
 	q, err := e.resolveTSQuery(q)
 	if err != nil {

@@ -46,17 +46,13 @@ func (e *Engine) Reference() (ReferenceView, *View) {
 		d.ID = c.ID
 		ref.Campaigns = append(ref.Campaigns, d.CampaignView)
 		ref.Details[c.ID] = d
-		if e.ts != nil {
-			if key, ok := e.col.timelineKey(&c); ok {
-				ref.TimelineKeys[c.ID] = key
-			}
+		if key, ok := e.col.timelineKey(&c); ok {
+			ref.TimelineKeys[c.ID] = key
 		}
 		priced = append(priced, &c)
 	}
 	sort.SliceStable(ref.Campaigns, func(i, j int) bool { return ref.Campaigns[i].XMR > ref.Campaigns[j].XMR })
-	if e.ts != nil {
-		ref.Years = e.referenceYearStats(priced)
-	}
+	ref.Years = e.referenceYearStats(priced)
 	return ref, e.view.Load()
 }
 

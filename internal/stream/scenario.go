@@ -56,7 +56,7 @@ func (e *Engine) PrimeScenarioBaselines() error {
 // engine's pool directory and folds the deltas into the running counters,
 // per-campaign timelines and ecosystem series, then republishes the view.
 // Wallets the dataset has not seen are skipped. The recording instant is the
-// scenario clock (Config.Timeseries.Clock) at call time, so interventions
+// scenario clock (Config.Clock) at call time, so interventions
 // land on the replay's own time axis.
 func (e *Engine) RepriceScenarioWallets(wallets []string) error {
 	if e.cfg.Prober != nil {
@@ -74,9 +74,7 @@ func (e *Engine) RepriceScenarioWallets(wallets []string) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ts != nil {
-		e.col.now = e.cfg.Timeseries.Clock()
-	}
+	e.col.now = e.cfg.Clock()
 	changed := false
 	for _, w := range ordered {
 		if !e.col.seenWallets[w] {

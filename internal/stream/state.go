@@ -69,9 +69,10 @@ type EngineState struct {
 	// restarted daemon re-probe only TTL-expired wallets instead of
 	// re-hammering every pool for the whole set.
 	Probe *probe.CacheState
-	// Timeseries is the longitudinal metrics store (nil when the subsystem
-	// is disabled). Its canonical form is already sorted/unrolled, so it
-	// rides the same same-state-same-bytes guarantee as the rest.
+	// Timeseries is the longitudinal metrics store. Its canonical form is
+	// already sorted/unrolled, so it rides the same same-state-same-bytes
+	// guarantee as the rest. Older daemons could run without series and
+	// checkpoint it nil; such a state restores with empty series.
 	Timeseries *timeseries.State
 	// Counters carries the live stats so uptime, throughput and running
 	// totals span restarts.
@@ -188,9 +189,7 @@ func (e *Engine) ExportState() *EngineState {
 	if e.cfg.Prober != nil {
 		st.Probe = e.cfg.Prober.ExportCache()
 	}
-	if e.ts != nil {
-		st.Timeseries = e.ts.Export()
-	}
+	st.Timeseries = e.ts.Export()
 
 	st.Counters = CounterState{
 		Submitted:   e.stats.submitted.Load(),
@@ -294,11 +293,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 
 	// Restore the series after the aggregator: rebuilding the partition may
 	// fire timeline-merge hooks, which must not touch restored timelines
-	// (they are no-ops against the still-empty store this early).
-	if e.ts != nil && st.Timeseries != nil {
-		if err := e.ts.Restore(st.Timeseries); err != nil {
-			return fmt.Errorf("stream: restore timeseries: %w", err)
-		}
+	// (they are no-ops against the still-empty store this early). A nil
+	// Timeseries leaves the series empty.
+	if err := e.ts.Restore(st.Timeseries); err != nil {
+		return fmt.Errorf("stream: restore timeseries: %w", err)
 	}
 
 	cs := st.Counters

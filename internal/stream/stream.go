@@ -41,7 +41,6 @@ import (
 	"cryptomining/internal/pow"
 	"cryptomining/internal/probe"
 	"cryptomining/internal/profit"
-	"cryptomining/internal/timeseries"
 )
 
 // AVProvider supplies antivirus reports for samples. Implementations must be
@@ -87,11 +86,12 @@ type Config struct {
 	// queue exerts backpressure on Submit.
 	QueueDepth int
 
-	// Timeseries configures the longitudinal metrics subsystem
-	// (internal/timeseries): multi-resolution windowed series maintained by
-	// the collector and queryable at any time via Engine.Timeseries /
-	// Engine.CampaignTimeline. Enabled by default; see TimeseriesOptions.
-	Timeseries TimeseriesOptions
+	// Clock supplies the recording timestamps of the longitudinal metrics
+	// (internal/timeseries) the collector maintains and Engine.Timeseries /
+	// Engine.CampaignTimeline query (nil = time.Now). Injectable so tests and
+	// what-if replays can drive the series deterministically. The series
+	// keep timeseries.DefaultLevels.
+	Clock func() time.Time
 
 	// Prober, when set, makes wallet-statistics collection asynchronous: the
 	// collector's first sighting of a wallet enqueues a probe instead of
@@ -112,21 +112,6 @@ type Config struct {
 	// Logger receives the engine's structured logs, scoped with
 	// component=stream. Nil keeps the engine silent (the library default).
 	Logger *slog.Logger
-}
-
-// TimeseriesOptions configures the engine's longitudinal metrics.
-type TimeseriesOptions struct {
-	// Disabled turns the subsystem off entirely: nothing is recorded, the
-	// timeseries queries return ErrTimeseriesDisabled, and ingestion pays
-	// zero overhead.
-	Disabled bool
-	// Levels is the retention ladder (nil = timeseries.DefaultLevels). It
-	// bounds memory: each series holds a fixed number of buckets per level
-	// regardless of run length.
-	Levels []timeseries.LevelSpec
-	// Clock supplies recording timestamps (nil = time.Now). Injectable so
-	// tests can drive the series deterministically.
-	Clock func() time.Time
 }
 
 // withDefaults fills optional dependencies exactly like the batch pipeline
@@ -156,8 +141,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.Timeseries.Clock == nil {
-		cfg.Timeseries.Clock = time.Now //cryptolint:allow directclock default wiring: the one site the engine Clock seam binds to the real clock
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now //cryptolint:allow directclock default wiring: the one site the engine Clock seam binds to the real clock
 	}
 	return cfg
 }

@@ -39,7 +39,7 @@ func TestTimeseriesCrashRecoveryBitIdentical(t *testing.T) {
 	mkCfg := func(clock func() time.Time) stream.Config {
 		cfg := core.NewFromUniverse(u).StreamConfig()
 		cfg.Shards = 1
-		cfg.Timeseries.Clock = clock
+		cfg.Clock = clock
 		return cfg
 	}
 	feed := func(eng *stream.Engine, hs []string) {
@@ -124,7 +124,7 @@ func TestTimeseriesAccounting(t *testing.T) {
 	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.2))
 	ctx := context.Background()
 	cfg := core.NewFromUniverse(u).StreamConfig()
-	cfg.Timeseries.Clock = frozenClock
+	cfg.Clock = frozenClock
 	eng := stream.New(cfg)
 	eng.Start(ctx)
 	for _, h := range u.Corpus.Hashes() {
@@ -279,7 +279,7 @@ func TestTimeseriesWindowUsesEngineClock(t *testing.T) {
 	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.05))
 	cfg := core.NewFromUniverse(u).StreamConfig()
 	clock := &logicalClock{}
-	cfg.Timeseries.Clock = clock.now
+	cfg.Clock = clock.now
 	eng := stream.New(cfg)
 	ctx := context.Background()
 	eng.Start(ctx)
@@ -314,20 +314,84 @@ func TestTimeseriesWindowUsesEngineClock(t *testing.T) {
 	}
 }
 
-func TestTimeseriesDisabled(t *testing.T) {
-	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.05))
-	cfg := core.NewFromUniverse(u).StreamConfig()
-	cfg.Timeseries.Disabled = true
-	eng := stream.New(cfg)
-	eng.Start(context.Background())
+// TestRestoreCheckpointWithoutSeries resumes a checkpoint that carries no
+// series — what daemons that could run without the timeseries subsystem
+// wrote — into a fresh engine. The sealed Results must equal the
+// uninterrupted run's, and the series answer, recording from the restore on.
+func TestRestoreCheckpointWithoutSeries(t *testing.T) {
+	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.2))
+	hashes := u.Corpus.Hashes()
+	ctx := context.Background()
+	mkEngine := func() *stream.Engine {
+		cfg := core.NewFromUniverse(u).StreamConfig()
+		cfg.Shards = 1
+		cfg.Clock = frozenClock
+		return stream.New(cfg)
+	}
+	feed := func(eng *stream.Engine, hs []string) {
+		for _, h := range hs {
+			s, _ := u.Corpus.Get(h)
+			if err := eng.Submit(ctx, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sealed := func(eng *stream.Engine) []any {
+		r, err := eng.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{r.Outcomes, r.Records, r.Campaigns, r.Profits, r.Identifiers,
+			r.TotalXMR, r.TotalUSD, r.CirculationShare, r.CountsBySource, r.CountsByResource}
+	}
 
-	if _, err := eng.Timeseries(stream.TimeseriesQuery{}); !errors.Is(err, stream.ErrTimeseriesDisabled) {
-		t.Errorf("Timeseries: err = %v", err)
+	ref := mkEngine()
+	ref.Start(ctx)
+	feed(ref, hashes)
+	want := sealed(ref)
+
+	cut := len(hashes) / 2
+	first := mkEngine()
+	first.Start(ctx)
+	feed(first, hashes[:cut])
+	waitProcessed(t, first, int64(cut))
+	st := first.ExportState()
+	// A ladder the engine does not run is refused, not reshaped.
+	st.Timeseries.Levels[0].Buckets++
+	if err := mkEngine().RestoreState(st); err == nil {
+		t.Fatal("restored a checkpoint recorded under a different retention ladder")
 	}
-	if _, _, err := eng.CampaignTimeline(1, stream.TimeseriesQuery{}); !errors.Is(err, stream.ErrTimeseriesDisabled) {
-		t.Errorf("CampaignTimeline: err = %v", err)
+	st.Timeseries = nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
 	}
-	if st := eng.ExportState(); st.Timeseries != nil {
-		t.Error("disabled engine must not export timeseries state")
+	var decoded stream.EngineState
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	second := mkEngine()
+	if err := second.RestoreState(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	second.Start(ctx)
+	feed(second, hashes[cut:])
+	if got := sealed(second); !reflect.DeepEqual(got, want) {
+		t.Fatal("sealed Results after restoring a series-less checkpoint differ from the uninterrupted run's")
+	}
+
+	snap, err := second.Timeseries(stream.TimeseriesQuery{Metric: timeseries.SeriesSamples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded float64
+	for _, b := range snap.Series[0].Buckets {
+		recorded += b.Sum
+	}
+	if recorded != float64(len(hashes)-cut) {
+		t.Errorf("samples series sums to %v after the restore, want the %d samples fed since", recorded, len(hashes)-cut)
+	}
+	if _, ok, err := second.CampaignTimeline(1, stream.TimeseriesQuery{}); err != nil || !ok {
+		t.Errorf("CampaignTimeline(1) = ok %v, err %v", ok, err)
 	}
 }

@@ -40,11 +40,9 @@ type View struct {
 	Details []*CampaignDetail
 	// TimelineKeys holds, by the same position, the partition's stable
 	// component key under which the timeseries store files the campaign's
-	// timeline (see TimelineKey). Nil when the timeseries subsystem is
-	// disabled.
+	// timeline (see TimelineKey).
 	TimelineKeys []string
-	// Years is the data-time yearly-evolution breakdown (nil when the
-	// timeseries subsystem is disabled).
+	// Years is the data-time yearly-evolution breakdown.
 	Years []YearStats
 }
 
@@ -58,7 +56,7 @@ func (v *View) Detail(id int) (CampaignDetail, bool) {
 }
 
 // TimelineKey returns the key the campaign's timeline is filed under, or
-// false when the snapshot has no such campaign or records no timelines.
+// false when the snapshot has no such campaign.
 func (v *View) TimelineKey(id int) (string, bool) {
 	if id < 1 || id > len(v.TimelineKeys) {
 		return "", false
@@ -235,7 +233,7 @@ func (c *collector) unfileAll() {
 // tallyYears adds (or, with delta -1, takes back) one campaign's first-seen
 // year and activity span to the yearly roll-up.
 func (c *collector) tallyYears(d *CampaignDetail, delta int) {
-	if c.e.ts == nil || d.FirstSeen.IsZero() {
+	if d.FirstSeen.IsZero() {
 		return
 	}
 	first := d.FirstSeen.Year()
@@ -275,14 +273,12 @@ func (e *Engine) publishViewLocked() {
 	rederived := c.refreshEntries()
 	comps := c.agg.Components()
 	v := &View{
-		Epoch:     e.view.Load().Epoch + 1,
-		Published: e.publishInstant(),
-		Campaigns: make([]CampaignView, len(comps)),
-		Details:   make([]*CampaignDetail, len(comps)),
-	}
-	if e.ts != nil {
-		v.TimelineKeys = make([]string, len(comps))
-		v.Years = e.yearStats()
+		Epoch:        e.view.Load().Epoch + 1,
+		Published:    e.publishInstant(),
+		Campaigns:    make([]CampaignView, len(comps)),
+		Details:      make([]*CampaignDetail, len(comps)),
+		TimelineKeys: make([]string, len(comps)),
+		Years:        e.yearStats(),
 	}
 	for i, comp := range comps {
 		ent := comp.Attachment.(*viewEntry)
@@ -292,9 +288,7 @@ func (e *Engine) publishViewLocked() {
 			ent.detail = &d
 		}
 		v.Details[i] = ent.detail
-		if v.TimelineKeys != nil {
-			v.TimelineKeys[i] = ent.key
-		}
+		v.TimelineKeys[i] = ent.key
 	}
 	for i, ent := range c.byEarnings {
 		v.Campaigns[i] = ent.detail.CampaignView
@@ -307,17 +301,12 @@ func (e *Engine) publishViewLocked() {
 	}
 }
 
-// publishInstant resolves the timestamp stamped on a published view. With
-// the timeseries store live the recording clock is a shared, possibly
-// logical sequence — a fresh reading here would consume a tick and shift
-// every later series point in replayed runs — so views reuse the batch's
-// already-read recording instant, falling back to the fixed analysis query
-// time before the first batch records. Only with the store disabled is the
-// clock free-standing, making a direct reading safe.
+// publishInstant resolves the timestamp stamped on a published view. The
+// recording clock is a shared, possibly logical sequence — a fresh reading
+// here would consume a tick and shift every later series point in replayed
+// runs — so views reuse the batch's already-read recording instant, falling
+// back to the fixed analysis query time before the first batch records.
 func (e *Engine) publishInstant() time.Time {
-	if e.ts == nil {
-		return e.cfg.Timeseries.Clock()
-	}
 	if e.col != nil && !e.col.now.IsZero() {
 		return e.col.now
 	}

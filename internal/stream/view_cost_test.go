@@ -26,10 +26,10 @@ func costEngine(t *testing.T, n int, prober *probe.Scheduler) (e *Engine, calls 
 	store := osint.NewDefaultStore()
 	store.AddDonationWallet(costDonation, "xmrig")
 	e = New(Config{
-		OSINT:      store,
-		QueryTime:  at,
-		Prober:     prober,
-		Timeseries: TimeseriesOptions{Clock: func() time.Time { return at }},
+		OSINT:     store,
+		QueryTime: at,
+		Prober:    prober,
+		Clock:     func() time.Time { return at },
 	})
 	calls = new(int)
 	e.col.collect = func(w string) profit.WalletActivity {

@@ -88,8 +88,9 @@ func exportSeries(name string, s *Series) NamedSeriesState {
 
 // Restore loads a previously exported state into an empty store. The state's
 // retention ladder must match the store's configuration: recorded history
-// cannot be re-bucketed, so resuming under a different -series-retention is
-// an explicit error rather than a silent reshape.
+// cannot be re-bucketed, so resuming a state recorded under a different
+// ladder is an explicit error rather than a silent reshape. A nil state
+// restores nothing.
 func (st *Store) Restore(state *State) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

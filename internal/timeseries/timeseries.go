@@ -43,8 +43,7 @@ import (
 )
 
 // ParseDuration is time.ParseDuration plus a whole-day unit ("7d"), the
-// syntax shared by the -series-retention flag and the API's resolution and
-// window query parameters.
+// syntax of the API's resolution and window query parameters.
 func ParseDuration(raw string) (time.Duration, error) {
 	if strings.HasSuffix(raw, "d") {
 		days, err := strconv.Atoi(strings.TrimSuffix(raw, "d"))

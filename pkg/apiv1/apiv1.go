@@ -23,11 +23,15 @@ const (
 	CodeInternal            = "internal"
 	CodeProbeDisabled       = "probe_disabled"
 	CodeFinishUnavailable   = "finish_unavailable"
-	CodeTimeseriesDisabled  = "timeseries_disabled"
 	CodeRateLimited         = "rate_limited"
 	CodeScenarioDisabled    = "scenario_disabled"
 	CodeScenarioCapacity    = "scenario_capacity"
 	CodeScenarioPending     = "scenario_pending"
+
+	// CodeTimeseriesDisabled was answered by daemons that could run without
+	// the timeseries subsystem. Current daemons always keep their series and
+	// never send it; it stays for clients of older daemons.
+	CodeTimeseriesDisabled = "timeseries_disabled"
 )
 
 // Error is the body of the uniform error envelope.

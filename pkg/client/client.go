@@ -327,8 +327,7 @@ func (q TimeseriesQuery) values() url.Values {
 
 // Timeseries fetches the ecosystem-wide longitudinal series (sample/keep
 // arrival rates, campaign and priced-XMR gauges, per-pool shares) plus the
-// data-time yearly-evolution breakdown. Daemons running with -no-series
-// answer 409 (code timeseries_disabled).
+// data-time yearly-evolution breakdown.
 func (c *Client) Timeseries(ctx context.Context, q TimeseriesQuery) (apiv1.Timeseries, error) {
 	var out apiv1.Timeseries
 	err := c.do(ctx, http.MethodGet, "/api/v1/timeseries", q.values(), nil, "", &out)

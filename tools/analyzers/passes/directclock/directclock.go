@@ -4,7 +4,7 @@
 // The repository's core guarantee — streaming results bit-identical to the
 // batch pipeline, across crashes and restarts — holds only because every
 // timestamp that can influence recorded state flows through an injectable
-// Clock (stream.TimeseriesOptions.Clock, probe.Clock, sandbox/feeds/pool
+// Clock (stream.Config.Clock, probe.Clock, sandbox/feeds/pool
 // Clock fields). A single stray time.Now() in one of those packages
 // reintroduces nondeterminism that no test can pin down. This pass makes the
 // convention mechanical: inside the guarded packages, any direct use of the
