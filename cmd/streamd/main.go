@@ -27,30 +27,10 @@
 // live poolserver statistics APIs over the network, rate-limited per pool
 // (-probe-rate) and refreshed by TTL (-probe-interval).
 //
-// Endpoints (see internal/api for the full reference; there is no
-// unversioned surface):
-//
-//	GET  /api/v1/stats          live engine counters
-//	GET  /api/v1/campaigns      paginated + filtered campaign listing
-//	GET  /api/v1/campaigns/{id} full campaign detail
-//	GET  /api/v1/campaigns/{id}/timeline
-//	                            the campaign's longitudinal series
-//	GET  /api/v1/timeseries     ecosystem longitudinal series + yearly
-//	                            evolution
-//	GET  /api/v1/results        final summary (503 + Retry-After until drained)
-//	POST /api/v1/checkpoint     persist a snapshot now (409 without -data-dir)
-//	POST /api/v1/samples        remote ingestion (JSON or bulk NDJSON)
-//	GET  /api/v1/events         live campaign-update stream (NDJSON/SSE)
-//	GET  /api/v1/probe          wallet-probe crawl telemetry
-//	POST /api/v1/probe/refresh  force re-probes (wallet= / scope=stale|all)
-//	POST /api/v1/finish         drain + seal final results on demand
-//	POST /api/v1/scenarios      submit a what-if scenario for shadow replay
-//	GET  /api/v1/scenarios      list retained scenario jobs
-//	GET  /api/v1/scenarios/{id} scenario job status
-//	GET  /api/v1/scenarios/{id}/delta
-//	                            baseline-vs-scenario comparison (503 +
-//	                            Retry-After while replaying)
-//	GET  /api/v1/healthz        liveness probe
+// The HTTP surface is internal/api's, whose package comment lists every
+// endpoint; there is no unversioned surface. The engine seals the run once —
+// at the end of the replay, or on POST /api/v1/finish with -no-feed — and
+// GET /api/v1/results serves the sealed view (503 + Retry-After until then).
 //
 // What-if scenarios replay typed intervention documents — pool wallet bans,
 // wallet seizures, AV signature rollouts, PoW fork events — against a shadow
@@ -87,7 +67,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -264,43 +243,23 @@ func main() {
 		return eng.Submit(ctx, sample)
 	}
 
-	var (
-		mu    sync.Mutex
-		final *stream.Results
-	)
-	// finish drains the engine (waiting for probe convergence) and seals the
-	// final results, exactly once — shared by the feed goroutine and POST
-	// /api/v1/finish. It deliberately runs on the daemon context, not a
-	// request context, so an impatient API client cannot poison the one
-	// finalize this process gets.
-	var (
-		finishOnce sync.Once
-		finishErr  error
-	)
-	finish := func() (*stream.Results, error) {
-		finishOnce.Do(func() {
-			res, err := eng.Finish(ctx)
-			if err != nil {
-				finishErr = err
-				return
-			}
-			if st != nil {
-				// Final checkpoint: a restart after completion resumes straight
-				// into the finished state instead of re-analyzing the tail.
-				if _, err := st.Checkpoint(); err != nil {
-					logd.Warn("final checkpoint failed", "err", err)
-				}
-			}
-			mu.Lock()
-			final = res
-			mu.Unlock()
-		})
-		if finishErr != nil {
-			return nil, finishErr
+	// finish seals the run (the engine drains, waits for probe convergence
+	// and seals exactly once; every call gets the same results) and then
+	// checkpoints it, so a restart after completion resumes straight into
+	// the finished state instead of re-analyzing the tail. The feed goroutine
+	// calls it on the daemon context, POST /api/v1/finish on the request's:
+	// a request that gives up before the seal leaves it to a later call.
+	finish := func(ctx context.Context) (*stream.Results, error) {
+		res, err := eng.Finish(ctx)
+		if err != nil {
+			return nil, err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		return final, nil
+		if st != nil {
+			if _, err := st.Checkpoint(); err != nil {
+				logd.Warn("final checkpoint failed", "err", err)
+			}
+		}
+		return res, nil
 	}
 
 	// What-if scenario replays fork the engine's exported state into private
@@ -319,17 +278,12 @@ func main() {
 		Metrics:   reg,
 		RateLimit: *apiRate,
 		RateBurst: *apiBurst,
-		Results: func() *stream.Results {
-			mu.Lock()
-			defer mu.Unlock()
-			return final
-		},
 	}
 	if *noFeed {
 		// Only a pure service run can be sealed on demand; in feed mode a
 		// forced drain would abort the replay mid-flight and freeze partial
 		// results (the feed goroutine finishes the run itself).
-		apiCfg.Finish = func(context.Context) (*stream.Results, error) { return finish() }
+		apiCfg.Finish = finish
 	}
 	if st != nil {
 		apiCfg.Checkpoint = func() (apiv1.Checkpoint, error) {
@@ -384,7 +338,7 @@ func main() {
 				logd.Warn("replay aborted", "err", err)
 				return
 			}
-			res, err := finish()
+			res, err := finish(ctx)
 			if err != nil {
 				logd.Error("finish failed", "err", err)
 				return

@@ -13,8 +13,8 @@
 //	                            kept, campaigns, xmr, pool:* shares) plus
 //	                            the data-time yearly-evolution breakdown
 //	                            (params: metric, resolution, window)
-//	GET  /api/v1/results        final run summary (503 + Retry-After while
-//	                            the replay is still in flight)
+//	GET  /api/v1/results        the sealed run's summary (503 +
+//	                            Retry-After until the engine seals it)
 //	POST /api/v1/checkpoint     persist a snapshot now (409 when the daemon
 //	                            runs without persistence)
 //	POST /api/v1/samples        remote ingestion: one JSON sample, or bulk
@@ -26,7 +26,7 @@
 //	                            (409 when the daemon runs without a prober)
 //	POST /api/v1/probe/refresh  force re-probe: ?wallet=<id>, ?scope=stale
 //	                            or ?scope=all
-//	POST /api/v1/finish         drain the engine and seal final results
+//	POST /api/v1/finish         drain the engine and seal the run, once
 //	                            (409 when the daemon cannot force a drain)
 //	POST /api/v1/scenarios      submit a what-if scenario document; answers
 //	                            202 with the async job to poll (409 when the
@@ -49,7 +49,10 @@
 // (stream.View): no GET acquires the collector mutex, the snapshot epoch is
 // the strong ETag (If-None-Match revalidation answers 304), campaign pages
 // paginate by opaque cursor (?cursor=; a raw ?offset= answers 400), and an
-// optional per-client token bucket throttles reads (429 + Retry-After).
+// optional per-client token bucket throttles reads (429 + Retry-After). The
+// final results are part of that snapshot: the engine seals a run once and
+// publishes the seal as View.Results, so the server holds no results of its
+// own.
 package api
 
 import (
@@ -85,13 +88,10 @@ type Config struct {
 	// Checkpoint persists a snapshot now; nil means persistence is disabled
 	// and POST /checkpoint answers 409.
 	Checkpoint func() (apiv1.Checkpoint, error)
-	// Results returns the final results, or nil while the run is still in
-	// flight (the results endpoints then answer 503 with Retry-After).
-	Results func() *stream.Results
-	// Finish drains the engine and finalizes the run on demand (POST
+	// Finish drains the engine and seals the run on demand (POST
 	// /api/v1/finish); nil answers 409 finish_unavailable. Daemons running in
-	// pure service mode (-no-feed) wire this so clients can seal a run and
-	// read /api/v1/results.
+	// pure service mode (-no-feed) wire Engine.Finish here, plus their final
+	// checkpoint; /api/v1/results serves the view's seal either way.
 	Finish func(context.Context) (*stream.Results, error)
 	// Probe serves the wallet-probe observability endpoints (GET
 	// /api/v1/probe, POST /api/v1/probe/refresh); nil answers 409

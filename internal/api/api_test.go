@@ -30,9 +30,6 @@ type testDaemon struct {
 	u   *ecosim.Universe
 	eng *stream.Engine
 	ts  *httptest.Server
-
-	mu    sync.Mutex
-	final *stream.Results
 }
 
 func newTestDaemon(t *testing.T, cfg api.Config) *testDaemon {
@@ -44,13 +41,6 @@ func newTestDaemon(t *testing.T, cfg api.Config) *testDaemon {
 	d.eng.Start(context.Background())
 
 	cfg.Engine = d.eng
-	if cfg.Results == nil {
-		cfg.Results = func() *stream.Results {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.final
-		}
-	}
 	d.ts = httptest.NewServer(api.New(cfg).Handler())
 	t.Cleanup(d.ts.Close)
 	return d
@@ -74,9 +64,6 @@ func (d *testDaemon) finish(t *testing.T) *stream.Results {
 	if err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	d.mu.Lock()
-	d.final = res
-	d.mu.Unlock()
 	return res
 }
 

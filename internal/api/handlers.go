@@ -127,10 +127,7 @@ func (s *Server) handleCampaignDetail(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	var res *stream.Results
-	if s.cfg.Results != nil {
-		res = s.cfg.Results()
-	}
+	res := s.cfg.Engine.CurrentView().Results
 	if res == nil {
 		// 503 + Retry-After, not 404: the route exists, the resource is just
 		// not ready yet, and pollers should keep polling.

@@ -40,21 +40,7 @@ func newProbeDaemon(t *testing.T) (*testDaemon, *probe.Scheduler) {
 	cfg := api.Config{
 		Engine: d.eng,
 		Probe:  prober,
-		Finish: func(ctx context.Context) (*stream.Results, error) {
-			res, err := d.eng.Finish(ctx)
-			if err != nil {
-				return nil, err
-			}
-			d.mu.Lock()
-			d.final = res
-			d.mu.Unlock()
-			return res, nil
-		},
-		Results: func() *stream.Results {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.final
-		},
+		Finish: d.eng.Finish,
 	}
 	d.ts = httptest.NewServer(api.New(cfg).Handler())
 	t.Cleanup(d.ts.Close)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -207,14 +209,7 @@ func PoolsPerCampaign(res *Results) *report.Table {
 // PoolPopularity reproduces Table VII: pools ranked by XMR mined by illicit
 // wallets, with wallet counts and USD.
 func PoolPopularity(res *Results) []profit.PoolRanking {
-	// Recompute from the profits' underlying activity: rank pools over the
-	// wallets of all campaigns.
-	var wallets []string
-	for _, c := range res.Campaigns {
-		wallets = append(wallets, c.Wallets...)
-	}
-	// The analyzer is stateless; rebuild a collector-compatible ranking from
-	// campaign payments instead (each payment knows its pool).
+	// Rank pools by the campaigns' payments: each payment knows its pool.
 	perPool := map[string]*profit.PoolRanking{}
 	walletSeen := map[string]map[string]bool{}
 	for _, cp := range res.Profits {
@@ -233,18 +228,16 @@ func PoolPopularity(res *Results) []profit.PoolRanking {
 			}
 		}
 	}
-	_ = wallets
 	out := make([]profit.PoolRanking, 0, len(perPool))
 	for _, r := range perPool {
 		out = append(out, *r)
 	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].XMR > out[i].XMR {
-				out[i], out[j] = out[j], out[i]
-			}
+	slices.SortFunc(out, func(a, b profit.PoolRanking) int {
+		if c := cmp.Compare(b.XMR, a.XMR); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.Pool, b.Pool)
+	})
 	return out
 }
 

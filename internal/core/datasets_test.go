@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,27 @@ func TestPoolPopularityTable(t *testing.T) {
 	tbl := PoolPopularityTable(testResults)
 	if !strings.Contains(tbl.String(), ranking[0].Pool) {
 		t.Error("top pool missing from table")
+	}
+
+	// Pools with equal XMR rank by name, whatever order the per-pool map
+	// iterates in.
+	tied := &Results{Profits: []profit.CampaignProfit{{Payments: []model.Payment{
+		{Pool: "pool-e", Wallet: "w1", Amount: 1},
+		{Pool: "pool-c", Wallet: "w2", Amount: 1},
+		{Pool: "pool-top", Wallet: "w3", Amount: 5},
+		{Pool: "pool-a", Wallet: "w4", Amount: 1},
+		{Pool: "pool-d", Wallet: "w5", Amount: 1},
+		{Pool: "pool-b", Wallet: "w6", Amount: 1},
+	}}}}
+	want := []string{"pool-top", "pool-a", "pool-b", "pool-c", "pool-d", "pool-e"}
+	for i := 0; i < 20; i++ {
+		var got []string
+		for _, r := range PoolPopularity(tied) {
+			got = append(got, r.Pool)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: tied pools ranked %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ type CampaignDelta struct {
 	ScenarioUSD float64
 	DeltaUSD    float64
 	// Timeline is the cumulative-XMR comparison over the campaign's
-	// timeline series (nil when timeseries are disabled or unchanged).
+	// timeline series (nil when the two sides are identical).
 	Timeline []BucketDelta
 }
 
@@ -85,7 +85,7 @@ type Result struct {
 	// largest XMR reduction first.
 	Campaigns []CampaignDelta
 	// Ecosystem compares the ecosystem-wide series (currently the priced-XMR
-	// gauge); empty when timeseries are disabled or unchanged.
+	// gauge); empty when the two sides are identical.
 	Ecosystem []SeriesDelta
 	Applied   []AppliedIntervention
 }
@@ -185,8 +185,8 @@ func totalsOf(e *stream.Engine) Totals {
 	return Totals{XMR: s.TotalXMR, USD: s.TotalUSD, Campaigns: s.Campaigns, Wallets: s.Wallets, Kept: s.Kept}
 }
 
-// ecosystemSeries snapshots the ecosystem priced-XMR gauge (nil when the
-// timeseries subsystem is disabled).
+// ecosystemSeries snapshots the ecosystem priced-XMR gauge (nil before
+// anything was priced).
 func ecosystemSeries(e *stream.Engine) []timeseries.Bucket {
 	snap, err := e.Timeseries(stream.TimeseriesQuery{Metric: timeseries.SeriesXMR})
 	if err != nil || len(snap.Series) == 0 {

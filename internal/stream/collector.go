@@ -77,9 +77,10 @@ type collector struct {
 	byEarnings []*viewEntry      //cryptolint:guardedby Engine.mu
 	stale      []*viewEntry      //cryptolint:guardedby Engine.mu
 	years      map[int]yearTally //cryptolint:guardedby Engine.mu
-	// finalized flips once finalize has sealed the results; late probe
-	// updates (forced refreshes) must no longer touch shared campaign state.
-	finalized bool //cryptolint:guardedby Engine.mu
+	// sealed is the run's final Results, set once by finalize; from then on
+	// late probe updates (forced refreshes) must no longer touch shared
+	// campaign state.
+	sealed *Results //cryptolint:guardedby Engine.mu
 	// now is the timeseries recording timestamp for the event currently
 	// being collected; the engine reads its clock once per event (collected
 	// sample or probe completion) so every series point the event records
@@ -440,11 +441,10 @@ func (c *collector) relUnion(a, b string) {
 	}
 }
 
-// finalize assembles the full Results from the collector's state. Everything
-// derived here iterates in deterministic (sorted) order, so the output is
-// bit-identical regardless of arrival order or shard count.
+// finalize assembles the full Results from the collector's state and seals
+// them. Everything derived here iterates in deterministic (sorted) order, so
+// the output is bit-identical regardless of arrival order or shard count.
 func (c *collector) finalize() *Results {
-	c.finalized = true
 	res := &Results{
 		Outcomes:         c.outcomes,
 		CountsBySource:   map[model.Source]int{},
@@ -504,6 +504,7 @@ func (c *collector) finalize() *Results {
 	}
 	res.CirculationShare = profit.CirculationShare(res.TotalXMR, c.e.cfg.Network, c.e.cfg.QueryTime)
 
+	c.sealed = res
 	c.e.publish(Event{
 		Type:      EventDrained,
 		Campaigns: len(res.Campaigns),

@@ -36,7 +36,10 @@ var ErrFinished = errors.New("stream: submit after Finish")
 //	res, err := eng.Finish(ctx)
 //
 // Submit blocks when the bounded dataflow is full (backpressure). Stats and
-// Live may be called at any time from any goroutine.
+// CurrentView may be called at any time from any goroutine. The engine owns
+// sealing: Finish seals the run exactly once and publishes the sealed
+// Results in the view (View.Results), which is what the read tier serves as
+// the run's final results.
 type Engine struct {
 	cfg      Config
 	analyzer *static.Analyzer
@@ -117,21 +120,6 @@ type engineMetrics struct {
 	// ones copied as they were.
 	publish         *obs.Histogram
 	rebuilt, reused *obs.Counter
-}
-
-// stageOptions composes the observer set for the stage at idx: the engine's
-// StageStats counters always, plus the self-registered latency histogram
-// when a metrics registry is configured. Both observers see the same
-// measured duration, so the exposition's per-stage counts agree with
-// StageStats.Processed exactly.
-func (e *Engine) stageOptions(idx int) []StageOption {
-	opts := []StageOption{
-		WithObserver(func(d time.Duration) { e.stats.observeStage(idx, d) }),
-	}
-	if e.cfg.Metrics != nil {
-		opts = append(opts, WithMetrics(e.cfg.Metrics))
-	}
-	return opts
 }
 
 // registerMetrics wires the engine's gauges, counters and histograms into
@@ -265,7 +253,7 @@ func (e *Engine) onProbeUpdate(u probe.Update) {
 
 // probeUpdateLocked is onProbeUpdate under e.mu.
 func (e *Engine) probeUpdateLocked(u probe.Update) {
-	if e.col.finalized {
+	if e.col.sealed != nil {
 		return
 	}
 	e.col.now = e.cfg.Clock()
@@ -307,10 +295,10 @@ func (e *Engine) Start(ctx context.Context) {
 		var enrichWG sync.WaitGroup
 		for _, s := range e.shards {
 			for st := 0; st < numStages-1; st++ {
-				go e.runStage(ctx, s.stages[st], s.chans[st], s.chans[st+1], true, nil)
+				go e.runStage(ctx, &s.stages[st], s.chans[st], s.chans[st+1], true, nil)
 			}
 			enrichWG.Add(1)
-			go e.runStage(ctx, s.stages[numStages-1], s.chans[numStages-1], e.outcomes, false, &enrichWG)
+			go e.runStage(ctx, &s.stages[numStages-1], s.chans[numStages-1], e.outcomes, false, &enrichWG)
 		}
 		go func() {
 			enrichWG.Wait()
@@ -325,10 +313,8 @@ func (e *Engine) Start(ctx context.Context) {
 	})
 }
 
-// runStage pumps tasks through one stage. Latency accounting lives inside
-// Stage.Process (see stageOptions), so the engine's StageStats and the
-// stage's self-registered histogram observe the same measurement.
-func (e *Engine) runStage(ctx context.Context, st Stage, in <-chan *Task, out chan<- *Task, closeOut bool, wg *sync.WaitGroup) {
+// runStage pumps tasks through one stage.
+func (e *Engine) runStage(ctx context.Context, st *stage, in <-chan *Task, out chan<- *Task, closeOut bool, wg *sync.WaitGroup) {
 	if wg != nil {
 		defer wg.Done()
 	}
@@ -343,7 +329,7 @@ func (e *Engine) runStage(ctx context.Context, st Stage, in <-chan *Task, out ch
 			if !ok {
 				return
 			}
-			st.Process(it)
+			st.run(it)
 			select {
 			case out <- it:
 			case <-ctx.Done():
@@ -531,12 +517,19 @@ func (e *Engine) submit(ctx context.Context, sample *model.Sample, seq uint64) e
 	}
 }
 
-// Finish closes the intake, waits for the dataflow to drain and returns the
-// final results. Submits racing with Finish either land before the intake
-// closes or return an error.
+// Finish closes the intake, waits for the dataflow to drain and seals the
+// run: it returns the final results and publishes them as View.Results.
+// Submits racing with Finish either land before the intake closes or return
+// an error. Sealing happens exactly once: every later or concurrent call
+// returns the same *Results, with no second drained event or publication.
+// A call whose context expires before the seal fails with the context's error
+// and leaves sealing to a later call.
 func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 	if !e.started.Load() {
 		return nil, ErrNotStarted
+	}
+	if res := e.view.Load().Results; res != nil {
+		return res, nil
 	}
 	e.finishOnce.Do(func() {
 		e.submitMu.Lock()
@@ -567,15 +560,23 @@ func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 			return nil, fmt.Errorf("stream: waiting for probe convergence: %w", err)
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	e.mu.Lock()
+	if res := e.col.sealed; res != nil {
+		// A concurrent call sealed first.
+		e.mu.Unlock()
+		return res, nil
+	}
 	// The last probes may be cached with their updates still on the way;
 	// those would arrive after finalize and be dropped, leaving the live
 	// series one delta short of what a restart reconciles.
 	e.col.reconcileProbeCache(wallets)
 	res := e.col.finalize()
-	// Republish so the read tier serves the sealed figures: finalize left
-	// every cached entry derived from the final per-campaign pricing, so this
-	// publication only copies, never re-prices.
+	// Republish so the read tier serves the sealed figures and the seal:
+	// finalize left every cached entry derived from the final per-campaign
+	// pricing, so this publication only copies, never re-prices.
 	e.publishViewLocked()
 	e.mu.Unlock()
 	if p := e.cfg.Prober; p != nil {

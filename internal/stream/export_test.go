@@ -132,7 +132,7 @@ func (e *Engine) SetCollect(collect func(wallet string) profit.WalletActivity) {
 func (e *Engine) InjectProbeUpdate(u probe.Update, pre func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if pre != nil && !e.col.finalized {
+	if pre != nil && e.col.sealed == nil {
 		pre()
 	}
 	e.probeUpdateLocked(u)

@@ -34,80 +34,45 @@ type Task struct {
 	sig *fuzzyhash.Signature
 }
 
-// Stage is one step of the per-shard analysis chain. Stages are the
-// engine's unit of composition: the engine wires a chain of stages per
-// shard over bounded channels, timing every Process call — which is also
-// how distributing stages across nodes stays a transport problem rather
-// than a refactor. Process runs on exactly one goroutine per (shard,
-// stage), so implementations may keep unsynchronized per-instance state.
-type Stage interface {
-	// Name identifies the stage in StageStats and metric labels.
-	Name() string
-	// Process advances one task. It must either complete the task's work
-	// for this stage or record the failure on the task's outcome; the
-	// engine always forwards the task to the next stage.
-	Process(t *Task)
-}
-
-// StageOption configures a stage built with NewStage.
-type StageOption func(*funcStage)
-
-// WithObserver adds a latency observer invoked after every Process call
-// with its duration. Multiple observers stack.
-func WithObserver(fn func(time.Duration)) StageOption {
-	return func(s *funcStage) { s.observers = append(s.observers, fn) }
-}
-
-// WithMetrics makes the stage self-register its latency histogram
-// (stream_stage_duration_seconds{stage=<name>}) in the registry and observe
-// every Process call into it.
-func WithMetrics(reg *obs.Registry) StageOption {
-	return func(s *funcStage) {
-		if reg == nil {
-			return
-		}
-		h := reg.Histogram(metricStageDuration,
-			"Per-stage processing latency of the streaming analysis chain.",
-			obs.LatencyBuckets, obs.L("stage", s.name))
-		s.observers = append(s.observers, func(d time.Duration) { h.Observe(d.Seconds()) })
-	}
+// stage is one step of the per-shard analysis chain. The engine wires a
+// chain of stages per shard over bounded channels; process runs on exactly
+// one goroutine per (shard, stage), so it may keep unsynchronized
+// per-instance state. It must either complete the task's work for this stage
+// or record the failure on the task's outcome: the engine always forwards
+// the task to the next stage.
+type stage struct {
+	idx     int
+	process func(*Task)
+	stats   *counters
+	// hist is the stage's stream_stage_duration_seconds{stage} histogram;
+	// nil when metrics are disabled.
+	hist *obs.Histogram
 }
 
 // metricStageDuration is the stage latency histogram family; exported
 // queries and the metrics smoke test key on it.
 const metricStageDuration = "stream_stage_duration_seconds"
 
-// funcStage adapts a named function into a Stage, timing Process for its
-// observers.
-type funcStage struct {
-	name      string
-	fn        func(*Task)
-	observers []func(time.Duration)
-}
-
-// NewStage builds a Stage from a name and a process function. Observers
-// attached via options (engine stats, self-registered metrics) all see the
-// same measured duration, which is what keeps StageStats and the exposition
-// in exact agreement.
-func NewStage(name string, fn func(*Task), opts ...StageOption) Stage {
-	s := &funcStage{name: name, fn: fn}
-	for _, opt := range opts {
-		opt(s)
+// newStage builds the stage at idx of the chain, registering its latency
+// histogram when reg is non-nil.
+func newStage(idx int, process func(*Task), stats *counters, reg *obs.Registry) stage {
+	s := stage{idx: idx, process: process, stats: stats}
+	if reg != nil {
+		s.hist = reg.Histogram(metricStageDuration,
+			"Per-stage processing latency of the streaming analysis chain.",
+			obs.LatencyBuckets, obs.L("stage", StageNames[idx]))
 	}
 	return s
 }
 
-func (s *funcStage) Name() string { return s.name }
-
-func (s *funcStage) Process(t *Task) {
-	if len(s.observers) == 0 {
-		s.fn(t)
-		return
-	}
+// run processes one task, timing it once: StageStats and the histogram
+// observe the same measured duration, which keeps them in exact agreement.
+func (s *stage) run(t *Task) {
 	t0 := time.Now() //cryptolint:allow directclock stage latency telemetry only
-	s.fn(t)
+	s.process(t)
 	d := time.Since(t0) //cryptolint:allow directclock stage latency telemetry only
-	for _, ob := range s.observers {
-		ob(d)
+	s.stats.observeStage(s.idx, d)
+	if s.hist != nil {
+		s.hist.Observe(d.Seconds())
 	}
 }

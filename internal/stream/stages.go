@@ -73,11 +73,8 @@ type shard struct {
 	// chans[i] feeds stage i; the enrich stage writes to the engine-wide
 	// outcomes channel instead.
 	chans [numStages]chan *Task
-	// stages is the composed, contract-typed chain in dataflow order. Each
-	// stage carries its own latency observers (engine StageStats plus, when
-	// metrics are enabled, the self-registered histogram), so every Process
-	// call updates both from one measurement.
-	stages [numStages]Stage
+	// stages is the chain in dataflow order.
+	stages [numStages]stage
 
 	box *sandbox.Sandbox
 	// avCache memoizes AV reports+labels (sanity stage only).
@@ -109,7 +106,7 @@ func newShard(e *Engine) *shard {
 		stageEnrich:  s.enrich,
 	}
 	for idx, fn := range fns {
-		s.stages[idx] = NewStage(StageNames[idx], fn, e.stageOptions(idx)...)
+		s.stages[idx] = newStage(idx, fn, e.stats, e.cfg.Metrics)
 	}
 	return s
 }

@@ -98,25 +98,19 @@ func TestMarkStartCarriesUptime(t *testing.T) {
 	}
 }
 
-// TestStageObserversAgree is the contract behind the exposition: the engine
-// StageStats observer and the self-registered histogram attach to the same
-// measured duration, so Processed counts and histogram counts must match
-// exactly, call for call.
+// TestStageObserversAgree is the contract behind the exposition: a stage
+// feeds StageStats and its histogram from the same measured duration, so
+// Processed counts and histogram counts must match exactly, call for call.
 func TestStageObserversAgree(t *testing.T) {
 	c := newCounters()
 	reg := obs.NewRegistry()
-	st := NewStage("sanity", func(*Task) { time.Sleep(time.Millisecond) },
-		WithObserver(func(d time.Duration) { c.observeStage(0, d) }),
-		WithMetrics(reg))
-	if st.Name() != "sanity" {
-		t.Fatalf("stage name = %q", st.Name())
-	}
+	st := newStage(stageSanity, func(*Task) { time.Sleep(time.Millisecond) }, c, reg)
 	const n = 5
 	for i := 0; i < n; i++ {
-		st.Process(&Task{})
+		st.run(&Task{})
 	}
 
-	if got := c.stageCount[0].Load(); got != n {
+	if got := c.stageCount[stageSanity].Load(); got != n {
 		t.Errorf("StageStats processed = %d, want %d", got, n)
 	}
 	h := reg.Histogram(metricStageDuration,
@@ -125,20 +119,10 @@ func TestStageObserversAgree(t *testing.T) {
 	if got := h.Count(); got != n {
 		t.Errorf("histogram count = %d, want %d", got, n)
 	}
-	// Same duration fanned to both observers: the histogram's sum (seconds)
-	// must equal the stage-nanos total to float precision.
-	wantSecs := time.Duration(c.stageNanos[0].Load()).Seconds()
+	// One duration fed to both: the histogram's sum (seconds) must equal the
+	// stage-nanos total to float precision.
+	wantSecs := time.Duration(c.stageNanos[stageSanity].Load()).Seconds()
 	if math.Abs(h.Sum()-wantSecs) > 1e-9 {
 		t.Errorf("histogram sum = %v s, StageStats total = %v s", h.Sum(), wantSecs)
-	}
-}
-
-// TestStageWithoutObserversRuns covers the zero-observer fast path.
-func TestStageWithoutObserversRuns(t *testing.T) {
-	ran := false
-	st := NewStage("enrich", func(*Task) { ran = true })
-	st.Process(&Task{})
-	if !ran {
-		t.Fatal("process function not invoked")
 	}
 }

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
@@ -295,6 +296,91 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if _, err := eng.Finish(context.Background()); err == nil {
 		t.Fatal("finish succeeded after cancel")
+	}
+}
+
+// TestFinishSealsOnce: the engine seals a run exactly once. A Finish whose
+// context is already cancelled gets the context's error and leaves the run
+// unsealed for a later call; concurrent calls all get the one *Results, which
+// the view publishes; a later call neither publishes again nor emits a
+// second drained event.
+func TestFinishSealsOnce(t *testing.T) {
+	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.1))
+	cfg := core.NewFromUniverse(u).StreamConfig()
+	cfg.Shards = 2
+	eng := stream.New(cfg)
+	ctx := context.Background()
+	eng.Start(ctx)
+	for _, h := range u.Corpus.Hashes() {
+		s, _ := u.Corpus.Get(h)
+		if err := eng.Submit(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if res, err := eng.Finish(cancelled); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Finish on a cancelled context = %p, %v; want nil, context.Canceled", res, err)
+	}
+	if eng.CurrentView().Results != nil {
+		t.Fatal("a cancelled Finish sealed the run")
+	}
+
+	const callers = 8
+	got := make([]*stream.Results, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eng.Finish(ctx)
+			if err != nil {
+				t.Errorf("Finish: %v", err)
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	sealed := got[0]
+	if sealed == nil {
+		t.Fatal("Finish returned no results")
+	}
+	for i, res := range got {
+		if res != sealed {
+			t.Fatalf("caller %d got Results %p, caller 0 got %p", i, res, sealed)
+		}
+	}
+	v := eng.CurrentView()
+	if v.Results != sealed {
+		t.Fatalf("view carries Results %p, Finish returned %p", v.Results, sealed)
+	}
+
+	// drained returns the single event a late subscriber receives.
+	drained := func() stream.Event {
+		t.Helper()
+		ch, _ := eng.Subscribe(4)
+		var evs []stream.Event
+		for ev := range ch {
+			evs = append(evs, ev)
+		}
+		if len(evs) != 1 || evs[0].Type != stream.EventDrained {
+			t.Fatalf("late subscriber got %+v, want one drained event", evs)
+		}
+		return evs[0]
+	}
+	first := drained()
+
+	for _, c := range []context.Context{ctx, cancelled} {
+		if res, err := eng.Finish(c); err != nil || res != sealed {
+			t.Fatalf("Finish after the seal = %p, %v; want %p", res, err, sealed)
+		}
+	}
+	if after := eng.CurrentView(); after.Epoch != v.Epoch {
+		t.Errorf("Finish after the seal published epoch %d over %d", after.Epoch, v.Epoch)
+	}
+	if again := drained(); again.Seq != first.Seq {
+		t.Errorf("Finish after the seal emitted drained seq %d over %d", again.Seq, first.Seq)
 	}
 }
 

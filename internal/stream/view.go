@@ -44,6 +44,9 @@ type View struct {
 	TimelineKeys []string
 	// Years is the data-time yearly-evolution breakdown.
 	Years []YearStats
+	// Results is the sealed run, nil until Finish seals it; the publication
+	// Finish makes carries it, and every later one carries it forward.
+	Results *Results
 }
 
 // Detail returns the full view of the campaign with the given ID, or false
@@ -279,6 +282,7 @@ func (e *Engine) publishViewLocked() {
 		Details:      make([]*CampaignDetail, len(comps)),
 		TimelineKeys: make([]string, len(comps)),
 		Years:        e.yearStats(),
+		Results:      c.sealed,
 	}
 	for i, comp := range comps {
 		ent := comp.Attachment.(*viewEntry)

@@ -39,34 +39,29 @@ type daemon struct {
 	eng *stream.Engine
 	ts  *httptest.Server
 	cl  *client.Client
-
-	mu    sync.Mutex
-	final *stream.Results
 }
 
 func newDaemon(t *testing.T, mutate func(*api.Config)) *daemon {
 	t.Helper()
 	u, _ := testUniverse()
-	d := &daemon{u: u}
 	scfg := core.NewFromUniverse(u).StreamConfig()
 	scfg.Shards = 4
-	d.eng = stream.New(scfg)
-	d.eng.Start(context.Background())
+	return newDaemonWithEngine(t, stream.New(scfg), mutate)
+}
 
-	cfg := api.Config{
-		Engine: d.eng,
-		Results: func() *stream.Results {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.final
-		},
-	}
+// newDaemonWithEngine is newDaemon over a caller-built engine (so tests can
+// attach a prober to the stream config before the engine exists).
+func newDaemonWithEngine(t *testing.T, eng *stream.Engine, mutate func(*api.Config)) *daemon {
+	t.Helper()
+	u, _ := testUniverse()
+	d := &daemon{u: u, eng: eng}
+	d.eng.Start(context.Background())
+	cfg := api.Config{Engine: d.eng}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	d.ts = httptest.NewServer(api.New(cfg).Handler())
 	t.Cleanup(d.ts.Close)
-
 	var err error
 	d.cl, err = client.New(d.ts.URL)
 	if err != nil {
@@ -98,9 +93,6 @@ func (d *daemon) finish(t *testing.T) *stream.Results {
 	if err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	d.mu.Lock()
-	d.final = res
-	d.mu.Unlock()
 	return res
 }
 

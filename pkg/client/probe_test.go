@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -15,34 +14,6 @@ import (
 	"cryptomining/pkg/apiv1"
 	"cryptomining/pkg/client"
 )
-
-// newDaemonWithEngine is newDaemon over a caller-built engine (so tests can
-// attach a prober to the stream config before the engine exists).
-func newDaemonWithEngine(t *testing.T, eng *stream.Engine, mutate func(*api.Config)) *daemon {
-	t.Helper()
-	u, _ := testUniverse()
-	d := &daemon{u: u, eng: eng}
-	d.eng.Start(context.Background())
-	cfg := api.Config{
-		Engine: d.eng,
-		Results: func() *stream.Results {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.final
-		},
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	d.ts = httptest.NewServer(api.New(cfg).Handler())
-	t.Cleanup(d.ts.Close)
-	var err error
-	d.cl, err = client.New(d.ts.URL)
-	if err != nil {
-		t.Fatalf("client.New: %v", err)
-	}
-	return d
-}
 
 // TestProbeSDKEndToEnd drives the probe surface through the SDK against a
 // probing daemon: bulk-ingest a shuffled feed, wait for probe convergence
@@ -60,19 +31,10 @@ func TestProbeSDKEndToEnd(t *testing.T) {
 	scfg.Prober = prober
 	ctx := context.Background()
 
-	var d *daemon
-	d = newDaemonWithEngine(t, stream.New(scfg), func(cfg *api.Config) {
+	eng := stream.New(scfg)
+	d := newDaemonWithEngine(t, eng, func(cfg *api.Config) {
 		cfg.Probe = prober
-		cfg.Finish = func(ctx context.Context) (*stream.Results, error) {
-			res, err := d.eng.Finish(ctx)
-			if err != nil {
-				return nil, err
-			}
-			d.mu.Lock()
-			d.final = res
-			d.mu.Unlock()
-			return res, nil
-		}
+		cfg.Finish = eng.Finish
 	})
 	prober.Start(ctx)
 	t.Cleanup(prober.Close)
