@@ -14,6 +14,11 @@ import (
 // always serializes to the same bytes regardless of map iteration order.
 // Cached campaigns are deliberately not captured — they are derived data, and
 // the first Snapshot after a restore rebuilds them deterministically.
+//
+// An in-process copy (ExportState handed straight to RestoreState, as a
+// what-if shadow is built) also carries each input's resolved enrichment, an
+// unexported immutable pointer that serialization drops: the restore reuses
+// it instead of deriving it again. A decoded state is enriched afresh.
 type AggregatorState struct {
 	// Inputs are the accumulated aggregation inputs, sorted by sample hash.
 	// They carry the resolved stock-tool attribution and no body. A state
@@ -134,8 +139,11 @@ func (ia *IncrementalAggregator) ExportState() *AggregatorState {
 
 // RestoreState loads a previously exported partition into the aggregator.
 // The receiver must be freshly created (NewIncremental) with the same
-// configuration that produced the state; restoring into an aggregator that
-// already holds inputs is an error.
+// configuration that produced the state — or one that resolves the same
+// enrichment, such as a shadow's with a forked pool directory of the same
+// names and domains; restoring into an aggregator that already holds inputs
+// is an error. Inputs that arrive with their enrichment resolved (an
+// in-process ExportState) keep it; the others are enriched here.
 func (ia *IncrementalAggregator) RestoreState(st *AggregatorState) error {
 	if len(ia.inputs) != 0 || len(ia.comps) != 0 {
 		return errors.New("campaign: restore into a non-empty aggregator")
@@ -145,8 +153,16 @@ func (ia *IncrementalAggregator) RestoreState(st *AggregatorState) error {
 		ia.SetAVLabels(sl.SHA256, sl.Labels)
 	}
 	for _, in := range st.Inputs {
-		// An input written with its body instead of the attribution has the
-		// attribution resolved here, from the body, which is then dropped.
+		if in.resolved != nil {
+			// An in-process ExportState copy keeps its enrichment: it is a
+			// pure function of the input, its labels and the configuration,
+			// which the receiver shares.
+			ia.inputs[in.Record.SHA256] = &in
+			continue
+		}
+		// A decoded input has its enrichment derived again; one written
+		// with its body instead of the attribution has the attribution
+		// resolved here, from the body, which is then dropped.
 		ia.inputs[in.Record.SHA256] = ia.resolved(in)
 	}
 	for _, n := range st.Nodes {

@@ -105,7 +105,7 @@ type StreamGenerator struct {
 	rng     *rand.Rand
 	wallets *wallet.Generator
 	network *pow.Network
-	pools   *pool.Directory
+	pools   map[string]*pool.Pool // the known pools, then churn pools
 	zone    *dnssim.Zone
 	scanner *avsim.Scanner
 
@@ -129,12 +129,15 @@ func NewStream(cfg StreamConfig) *StreamGenerator {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		network: network,
-		pools:   pool.NewDirectory(network),
+		pools:   map[string]*pool.Pool{},
 		zone:    dnssim.NewZone(),
 		scanner: avsim.NewScanner(),
 		truths:  map[string]avsim.SampleTruth{},
 	}
 	s.wallets = wallet.NewGenerator(s.rng)
+	for _, p := range pool.NewDirectory(network).Pools() {
+		s.pools[p.Name] = p
+	}
 	for _, spec := range pool.KnownMoneroPools() {
 		for i, dom := range spec.Domains {
 			s.zone.AddA(dom, fmt.Sprintf("94.130.%d.%d", 10+i, 10+len(dom)%200), time.Time{})
@@ -154,8 +157,18 @@ func NewStream(cfg StreamConfig) *StreamGenerator {
 	return s
 }
 
-// Pools exposes the simulated pool directory (populated in Ledger mode).
-func (s *StreamGenerator) Pools() *pool.Directory { return s.pools }
+// Pools returns a directory of every pool the stream has brought so far: the
+// known pools plus the churn pools of the campaigns spawned up to now. A
+// directory's membership is fixed, so take it after the last Next whose
+// pools it must know; the ledgers are shared, and in Ledger mode later
+// campaigns keep mining into them. Like Next, it is for the producer only.
+func (s *StreamGenerator) Pools() *pool.Directory {
+	pools := make([]*pool.Pool, 0, len(s.pools))
+	for _, p := range s.pools {
+		pools = append(pools, p)
+	}
+	return pool.NewDirectoryOf(pools...)
+}
 
 // Zone exposes the DNS zone with the stream's CNAME aliases.
 func (s *StreamGenerator) Zone() *dnssim.Zone { return s.zone }
@@ -188,7 +201,7 @@ func (s *StreamGenerator) spawn() *streamCampaign {
 		name := fmt.Sprintf("churnpool-%d", s.churnSeq)
 		dom := fmt.Sprintf("pool.%s.example", name)
 		p := pool.New(name, []string{dom}, model.CurrencyMonero, pool.DefaultPolicy(), s.network)
-		s.pools.Add(p)
+		s.pools[name] = p
 		s.zone.AddA(dom, fmt.Sprintf("185.71.%d.%d", s.churnSeq%250, 10+s.churnSeq%200), time.Time{})
 		s.churnPools = append(s.churnPools, name)
 		if len(s.churnPools) > 8 {
@@ -261,7 +274,7 @@ func (s *StreamGenerator) spawn() *streamCampaign {
 	// in Ledger mode the campaign's full mining history lands in the pool
 	// directory now, before its first sample is emitted.
 	if c.cname != "" {
-		if p, ok := s.pools.Get(c.pools[0]); ok && len(p.Domains) > 0 {
+		if p, ok := s.pools[c.pools[0]]; ok && len(p.Domains) > 0 {
 			s.zone.AddCNAME(c.cname, p.Domains[len(p.Domains)-1], c.start)
 		}
 	}
@@ -292,7 +305,7 @@ func (s *StreamGenerator) simulateStreamMining(c *streamCampaign) {
 	for _, w := range c.wallets {
 		perPool := perWallet / float64(len(c.pools))
 		for _, poolName := range c.pools {
-			p, ok := s.pools.Get(poolName)
+			p, ok := s.pools[poolName]
 			if !ok {
 				continue
 			}
@@ -417,7 +430,7 @@ func (s *StreamGenerator) streamEndpoint(c *streamCampaign) (string, int) {
 	if c.cname != "" {
 		return c.cname, 4444
 	}
-	if p, ok := s.pools.Get(c.pools[s.rng.Intn(len(c.pools))]); ok && len(p.Domains) > 0 {
+	if p, ok := s.pools[c.pools[s.rng.Intn(len(c.pools))]]; ok && len(p.Domains) > 0 {
 		return p.Domains[len(p.Domains)-1], 3333
 	}
 	return fmt.Sprintf("%d.0.0.%d", 100+s.rng.Intn(100), 1+s.rng.Intn(254)), 18081

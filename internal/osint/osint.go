@@ -13,9 +13,11 @@
 package osint
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"cryptomining/internal/fuzzyhash"
 	"cryptomining/internal/model"
@@ -29,8 +31,9 @@ type Store struct {
 	byValue map[string][]model.IoC
 	// donationWallets is the whitelist of developer donation wallets.
 	donationWallets map[string]string // wallet -> tool name
-	// ppiFamilies maps an AV family-label stem to the PPI botnet name.
-	ppiFamilies map[string]string
+	// ppiStems maps AV family-label stems, lowercase and sorted, to PPI
+	// botnet names.
+	ppiStems []ppiStem
 	// stockTools maps a sample SHA256 -> stock tool descriptor.
 	stockTools map[string]StockTool
 	// stockSigs caches StockSignatures, nil until computed; AddStockTool
@@ -75,7 +78,6 @@ func NewStore() *Store {
 	return &Store{
 		byValue:         map[string][]model.IoC{},
 		donationWallets: map[string]string{},
-		ppiFamilies:     map[string]string{},
 		stockTools:      map[string]StockTool{},
 	}
 }
@@ -162,25 +164,72 @@ func (s *Store) DonationWallets() []string {
 // botnet name, so that samples labeled with that family are enriched as
 // spread through the botnet.
 func (s *Store) RegisterPPIFamily(labelStem, botnet string) {
+	stem := strings.ToLower(labelStem)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ppiFamilies[strings.ToLower(labelStem)] = botnet
+	i, found := slices.BinarySearchFunc(s.ppiStems, stem, func(e ppiStem, stem string) int {
+		return strings.Compare(e.stem, stem)
+	})
+	if found {
+		s.ppiStems[i].botnet = botnet
+		return
+	}
+	s.ppiStems = slices.Insert(s.ppiStems, i, ppiStem{stem: stem, botnet: botnet})
 }
 
+// ppiStem is one registered family-label stem and the botnet it names.
+type ppiStem struct{ stem, botnet string }
+
 // PPIBotnetForLabels inspects AV labels and returns the PPI botnet they point
-// to, if any.
+// to, if any: that of the first label containing a registered stem, case
+// insensitively, and of the stems that label contains, the first in sorted
+// order. An ASCII label is matched without copying it.
 func (s *Store) PPIBotnetForLabels(labels []string) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, l := range labels {
-		ll := strings.ToLower(l)
-		for stem, botnet := range s.ppiFamilies {
-			if strings.Contains(ll, stem) {
-				return botnet, true
+		contains := containsLowerASCII
+		if !isASCII(l) {
+			l, contains = strings.ToLower(l), strings.Contains
+		}
+		for _, f := range s.ppiStems {
+			if contains(l, f.stem) {
+				return f.botnet, true
 			}
 		}
 	}
 	return "", false
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// containsLowerASCII reports whether the ASCII string s, lowercased, contains
+// lower.
+func containsLowerASCII(s, lower string) bool {
+	for i := 0; i+len(lower) <= len(s); i++ {
+		j := 0
+		for j < len(lower) && toLowerASCII(s[i+j]) == lower[j] {
+			j++
+		}
+		if j == len(lower) {
+			return true
+		}
+	}
+	return false
+}
+
+func toLowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // AddStockTool registers a known stock mining tool binary. The whitelist of

@@ -90,6 +90,33 @@ func TestPPIBotnetForLabels(t *testing.T) {
 	}
 }
 
+// TestPPIBotnetForLabelsDeterministic pins the choice for a label that
+// contains two stems: the first stem in sorted order, every time, however the
+// stems were registered.
+func TestPPIBotnetForLabelsDeterministic(t *testing.T) {
+	s := NewDefaultStore()
+	labels := []string{"Trojan.Generic", "Win32.Ramnit.Nitol"}
+	for i := 0; i < 1000; i++ {
+		if b, ok := s.PPIBotnetForLabels(labels); !ok || b != "Nitol" {
+			t.Fatalf("call %d: two-stem label = %q, %v, want Nitol", i, b, ok)
+		}
+	}
+	// A non-ASCII label is lowercased as strings.ToLower does: the Kelvin
+	// sign folds to an ASCII k.
+	s.RegisterPPIFamily("Kelihos", "Kelihos")
+	if b, ok := s.PPIBotnetForLabels([]string{"Win32.\u212aelihos.É"}); !ok || b != "Kelihos" {
+		t.Errorf("non-ASCII label = %q, %v, want Kelihos", b, ok)
+	}
+	// Registering a stem again renames its botnet.
+	s.RegisterPPIFamily("NITOL", "Nitol-2")
+	if b, _ := s.PPIBotnetForLabels(labels); b != "Nitol-2" {
+		t.Errorf("re-registered stem = %q, want Nitol-2", b)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.PPIBotnetForLabels(labels) }); n != 0 {
+		t.Errorf("ASCII labels cost %v allocations a call, want 0", n)
+	}
+}
+
 func TestStockToolRegistry(t *testing.T) {
 	s := NewStore()
 	s.AddStockTool(StockTool{Name: "xmrig", Version: "2.14.1", SHA256: "AABBCC", Content: []byte("xmrig binary")})

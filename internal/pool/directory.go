@@ -1,26 +1,24 @@
 package pool
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"cryptomining/internal/model"
 	"cryptomining/internal/pow"
 )
 
-// Directory holds the set of known mining pools the measurement queries, and
+// Directory is the set of known mining pools the measurement queries, and
 // the domain-to-pool mapping the alias detector needs.
 //
-// The directory is safe for concurrent use: live interventions (wallet-ban
-// reports arriving over the API) mutate pool membership and ledgers while
-// probe crawls and keep-decision lookups read them, so the pool map is
-// guarded by its own lock. Individual pools carry their own mutex; the
-// directory lock only covers the name -> pool mapping.
+// Membership is fixed when the directory is built (NewDirectory,
+// NewDirectoryOf, Fork), so the directory needs no lock and computes its
+// name order once. Ledgers still change: each pool guards its own with its
+// mutex, and live interventions and probe crawls share them safely.
 type Directory struct {
-	mu    sync.RWMutex
-	pools map[string]*Pool
+	pools       []*Pool // sorted by name
+	transparent []*Pool // the transparent subset, same order
+	byName      map[string]*Pool
 }
 
 // KnownPoolSpec describes one well-known pool.
@@ -64,7 +62,7 @@ func NewDirectory(network *pow.Network) *Directory {
 	if network == nil {
 		network = pow.NewMoneroNetwork()
 	}
-	d := &Directory{pools: map[string]*Pool{}}
+	var pools []*Pool
 	for _, spec := range KnownMoneroPools() {
 		policy := DefaultPolicy()
 		policy.Transparent = spec.Transparent
@@ -72,79 +70,60 @@ func NewDirectory(network *pow.Network) *Directory {
 		if !spec.Transparent {
 			policy.ProvidesPaymentHistory = false
 		}
-		d.pools[spec.Name] = New(spec.Name, spec.Domains, model.CurrencyMonero, policy, network)
+		pools = append(pools, New(spec.Name, spec.Domains, model.CurrencyMonero, policy, network))
+	}
+	return NewDirectoryOf(pools...)
+}
+
+// NewDirectoryOf builds a directory of exactly the given pools, whose names
+// must be distinct.
+func NewDirectoryOf(pools ...*Pool) *Directory {
+	d := &Directory{pools: slices.Clone(pools), byName: make(map[string]*Pool, len(pools))}
+	slices.SortFunc(d.pools, func(a, b *Pool) int { return strings.Compare(a.Name, b.Name) })
+	for _, p := range d.pools {
+		d.byName[p.Name] = p
+		if p.Policy.Transparent {
+			d.transparent = append(d.transparent, p)
+		}
 	}
 	return d
 }
 
 // Get returns the pool with the given normalized name.
 func (d *Directory) Get(name string) (*Pool, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p, ok := d.pools[name]
+	p, ok := d.byName[name]
 	return p, ok
-}
-
-// Add registers an additional pool (e.g. a private pool for a test, or one
-// discovered mid-measurement by a streamed feed).
-func (d *Directory) Add(p *Pool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pools[p.Name] = p
 }
 
 // Names returns the pool names, sorted.
 func (d *Directory) Names() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.pools))
-	for n := range d.pools {
-		out = append(out, n)
+	out := make([]string, len(d.pools))
+	for i, p := range d.pools {
+		out[i] = p.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Pools returns the pools sorted by name.
-func (d *Directory) Pools() []*Pool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	names := make([]string, 0, len(d.pools))
-	for n := range d.pools {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Pool, 0, len(names))
-	for _, n := range names {
-		out = append(out, d.pools[n])
-	}
-	return out
-}
+// Pools returns the pools sorted by name. The slice is the directory's own:
+// callers must not modify it.
+func (d *Directory) Pools() []*Pool { return d.pools }
 
 // DomainMap returns the domain -> pool-name map consumed by the CNAME alias
 // detector (dnssim.NewAliasDetector).
 func (d *Directory) DomainMap() map[string]string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := map[string]string{}
-	for name, p := range d.pools {
+	for _, p := range d.pools {
 		for _, dom := range p.Domains {
-			out[dom] = name
+			out[dom] = p.Name
 		}
 	}
 	return out
 }
 
-// Transparent returns only the pools that expose public wallet statistics.
-func (d *Directory) Transparent() []*Pool {
-	var out []*Pool
-	for _, p := range d.Pools() {
-		if p.Policy.Transparent {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// Transparent returns only the pools that expose public wallet statistics,
+// sorted by name. The slice is the directory's own: callers must not modify
+// it.
+func (d *Directory) Transparent() []*Pool { return d.transparent }
 
 // HostOfEndpoint strips the :port suffix from a mining endpoint
 // ("host:port" -> "host"). The one place this parsing lives, so the keep
@@ -157,41 +136,32 @@ func HostOfEndpoint(endpoint string) string {
 }
 
 // PoolForDomain returns the pool a domain belongs to (matching the domain or
-// any of its parents), if any.
+// any of its parents), if any. Pools are tried in name order.
 func (d *Directory) PoolForDomain(domain string) (*Pool, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for name, p := range d.pools {
+	for _, p := range d.pools {
 		for _, dom := range p.Domains {
 			if domain == dom || hasSuffixDot(domain, dom) {
-				return d.pools[name], true
+				return p, true
 			}
 		}
 	}
 	return nil, false
 }
 
-// Fork deep-copies the directory: every pool reappears with the same name,
+// Fork copies the directory: every pool reappears with the same name,
 // domains, currency, policy and network model, but with an independent
-// ledger (wallet accounts, payments, bans). A what-if scenario mutates the
-// fork — banning wallets, retracting earnings — without the live directory
-// ever observing a write. Pool ledgers are copied through the canonical
-// snapshot round-trip, so a fork prices wallets bit-identically to its
-// source until the first intervention diverges them.
-func (d *Directory) Fork() (*Directory, error) {
-	out := &Directory{pools: map[string]*Pool{}}
-	for _, p := range d.Pools() {
-		snap, err := p.MarshalSnapshot()
-		if err != nil {
-			return nil, fmt.Errorf("pool: fork %s: %w", p.Name, err)
-		}
-		np := New(p.Name, p.Domains, p.Currency, p.Policy, p.network)
-		if err := np.UnmarshalSnapshot(snap); err != nil {
-			return nil, fmt.Errorf("pool: fork %s: %w", p.Name, err)
-		}
-		out.pools[np.Name] = np
+// ledger (wallet accounts, payments, hashrate history, source IPs, bans). A
+// what-if scenario mutates the fork — banning wallets, retracting earnings —
+// without the live directory ever observing a write, and the live pools keep
+// taking writes without the fork observing them. The ledgers are copied
+// structurally, so a fork prices wallets bit-identically to its source until
+// the first intervention diverges them, and re-marshals byte-equal to it.
+func (d *Directory) Fork() *Directory {
+	forked := make([]*Pool, len(d.pools))
+	for i, p := range d.pools {
+		forked[i] = p.fork()
 	}
-	return out, nil
+	return NewDirectoryOf(forked...)
 }
 
 func hasSuffixDot(name, suffix string) bool {

@@ -5,14 +5,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cryptomining/internal/pow"
 )
 
 // TestDirectoryConcurrentMutation drives the access pattern a live daemon
-// produces once interventions go live: one goroutine registering new pools
-// and banning wallets (the write side of a streamed feed with pool churn plus
-// abuse reports), while others crawl the directory the way the prober and the
-// keep decision do (Pools, Names, Get, DomainMap, PoolForDomain, Stats).
-// Run with -race; the unsynchronized map this replaced failed it.
+// produces once interventions go live: one goroutine banning wallets (abuse
+// reports), while another crawls the directory the way the prober and the
+// keep decision do (Transparent, Names, Get, DomainMap, PoolForDomain, Stats).
+// Membership is fixed, so only the ledgers are written. Run with -race.
 func TestDirectoryConcurrentMutation(t *testing.T) {
 	dir := NewDirectory(nil)
 	base := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -22,17 +23,7 @@ func TestDirectoryConcurrentMutation(t *testing.T) {
 
 	const rounds = 200
 	var wg sync.WaitGroup
-	wg.Add(3)
-
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			p := New(fmt.Sprintf("churn-%d", i), []string{fmt.Sprintf("churn-%d.example", i)},
-				"XMR", DefaultPolicy(), nil)
-			p.SimulateMining("wallet-B", 10, 1000, base, base.AddDate(0, 1, 0), 24*time.Hour, nil)
-			dir.Add(p)
-		}
-	}()
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
@@ -46,7 +37,7 @@ func TestDirectoryConcurrentMutation(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			for _, p := range dir.Transparent() {
 				_, _ = p.Stats("wallet-A", base)
-				_ = p.DistinctIPs("wallet-B")
+				_ = p.DistinctIPs("wallet-A")
 			}
 			_ = dir.Names()
 			_ = dir.DomainMap()
@@ -55,44 +46,107 @@ func TestDirectoryConcurrentMutation(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
 
-	if _, ok := dir.Get(fmt.Sprintf("churn-%d", rounds-1)); !ok {
-		t.Fatalf("pool added during concurrent crawl is missing")
+// snapshots renders every pool of a directory in its canonical JSON form.
+func snapshots(t *testing.T, d *Directory) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, p := range d.Pools() {
+		b, err := p.MarshalSnapshot()
+		if err != nil {
+			t.Fatalf("snapshot %s: %v", p.Name, err)
+		}
+		out[p.Name] = string(b)
+	}
+	return out
+}
+
+// jsonFork is the reference fork: every ledger through its canonical
+// snapshot and back, which shares nothing by construction.
+func jsonFork(t *testing.T, d *Directory) *Directory {
+	t.Helper()
+	var pools []*Pool
+	for _, p := range d.Pools() {
+		b, err := p.MarshalSnapshot()
+		if err != nil {
+			t.Fatalf("snapshot %s: %v", p.Name, err)
+		}
+		np := New(p.Name, p.Domains, p.Currency, p.Policy, p.network)
+		if err := np.UnmarshalSnapshot(b); err != nil {
+			t.Fatalf("restore %s: %v", p.Name, err)
+		}
+		pools = append(pools, np)
+	}
+	return NewDirectoryOf(pools...)
+}
+
+func sameSnapshots(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pools, want %d", what, len(got), len(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Fatalf("%s: pool %s ledger differs", what, name)
+		}
 	}
 }
 
+// TestDirectoryForkIsolation writes to a fork and to its source at the same
+// time and requires each side to end exactly where its own writes alone take
+// a reference copy: no account, payment list, hashrate history or IP set may
+// be shared, or one side's appends, in-place retraction or new IPs would show
+// on the other (and -race would report the shared memory).
 func TestDirectoryForkIsolation(t *testing.T) {
 	dir := NewDirectory(nil)
 	base := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	live, _ := dir.Get("minexmr")
+	live, _ := dir.Get("minexmr") // keeps the hashrate history
 	live.SimulateMining("wallet-F", 50, 20000, base, base.AddDate(0, 6, 0), 24*time.Hour, nil)
-	paidBefore := live.TotalPaid("wallet-F")
-	if paidBefore <= 0 {
+	live.SimulateMining("wallet-G", 3, 9000, base, base.AddDate(0, 6, 0), 24*time.Hour, nil)
+	if live.TotalPaid("wallet-F") <= 0 {
 		t.Fatalf("expected simulated earnings before forking")
 	}
 
-	fork, err := dir.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	fp, ok := fork.Get("minexmr")
-	if !ok {
-		t.Fatalf("fork lost pool minexmr")
-	}
-	if got := fp.TotalPaid("wallet-F"); got != paidBefore {
-		t.Fatalf("fork ledger drifted: got %v want %v", got, paidBefore)
-	}
+	fork := dir.Fork()
+	sameSnapshots(t, "fork", snapshots(t, fork), snapshots(t, dir))
 
-	ret := fp.RetractEarningsFrom("wallet-F", base)
-	if ret.RemovedXMR <= 0 {
-		t.Fatalf("retraction removed nothing")
+	forkWrites := func(d *Directory) {
+		p, _ := d.Get("minexmr")
+		p.SimulateMining("wallet-F", 80, 20000, base.AddDate(0, 6, 0), base.AddDate(0, 8, 0), 24*time.Hour, nil)
+		if ret := p.RetractEarningsFrom("wallet-F", base.AddDate(0, 3, 0)); ret.RemovedXMR <= 0 {
+			t.Errorf("retraction removed nothing")
+		}
+		// Retracted, then mining again: the appends land where the source's
+		// entries after the cut still are.
+		p.RetractEarningsFrom("wallet-G", base.AddDate(0, 1, 0))
+		p.SimulateMining("wallet-G", 5, 9000, base.AddDate(0, 2, 0), base.AddDate(0, 3, 0), 24*time.Hour, nil)
 	}
-	if got := fp.TotalPaid("wallet-F"); got != 0 {
-		t.Fatalf("fork retained %v XMR after full retraction", got)
+	liveWrites := func(d *Directory) {
+		p, _ := d.Get("minexmr")
+		for i := 0; i < 20; i++ {
+			at := base.AddDate(0, 6, i)
+			if err := p.RegisterConnection("wallet-F", fmt.Sprintf("192.0.2.%d", i)); err != nil {
+				t.Errorf("register: %v", err)
+			}
+			if err := p.Credit("wallet-F", "198.51.100.1", 5e10, pow.AlgorithmAt(p.network.Epochs, at), at); err != nil {
+				t.Errorf("credit: %v", err)
+			}
+			p.recordHashrate("wallet-G", 42, at)
+		}
 	}
-	if got := live.TotalPaid("wallet-F"); got != paidBefore {
-		t.Fatalf("live ledger mutated through fork: got %v want %v", got, paidBefore)
-	}
+	wantFork, wantLive := jsonFork(t, fork), jsonFork(t, dir)
+	forkWrites(wantFork)
+	liveWrites(wantLive)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); forkWrites(fork) }()
+	go func() { defer wg.Done(); liveWrites(dir) }()
+	wg.Wait()
+
+	sameSnapshots(t, "live after both sides wrote", snapshots(t, dir), snapshots(t, wantLive))
+	sameSnapshots(t, "fork after both sides wrote", snapshots(t, fork), snapshots(t, wantFork))
 	if live.IsBanned("wallet-F") {
 		t.Fatalf("live ledger banned through fork")
 	}

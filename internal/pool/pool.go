@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -129,6 +131,24 @@ func (p *Pool) account(user string) *walletAccount {
 		p.wallets[user] = acct
 	}
 	return acct
+}
+
+// fork returns a pool with the same identity and a deep copy of the ledger:
+// no account, payment list, hashrate history or IP set is shared, so writes
+// to either pool never reach the other.
+func (p *Pool) fork() *Pool {
+	np := New(p.Name, p.Domains, p.Currency, p.Policy, p.network)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	np.wallets = make(map[string]*walletAccount, len(p.wallets))
+	for user, acct := range p.wallets {
+		c := *acct
+		c.payments = slices.Clone(acct.payments)
+		c.historic = slices.Clone(acct.historic)
+		c.ips = maps.Clone(acct.ips)
+		np.wallets[user] = &c
+	}
+	return np
 }
 
 // RegisterConnection records a login from the given source IP. Returns
@@ -419,7 +439,8 @@ func (p *Pool) TotalPaidAll() float64 {
 }
 
 // MarshalSnapshot serializes the pool's ledger (used by cmd tools to persist
-// a generated ecosystem).
+// a generated ecosystem, and by tests as the canonical form a fork must
+// reproduce).
 func (p *Pool) MarshalSnapshot() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -335,12 +335,23 @@ func TestDirectoryDomainMapAndLookup(t *testing.T) {
 	}
 }
 
-func TestDirectoryAdd(t *testing.T) {
-	d := NewDirectory(nil)
-	private := New("private-pool", []string{"private.example"}, model.CurrencyMonero, DefaultPolicy(), nil)
-	d.Add(private)
-	if _, ok := d.Get("private-pool"); !ok {
-		t.Error("added pool should be retrievable")
+func TestNewDirectoryOf(t *testing.T) {
+	b := New("b-pool", []string{"b.example"}, model.CurrencyMonero, DefaultPolicy(), nil)
+	opaque := DefaultPolicy()
+	opaque.Transparent = false
+	a := New("a-pool", []string{"a.example"}, model.CurrencyMonero, opaque, nil)
+	d := NewDirectoryOf(b, a)
+	if got := d.Names(); len(got) != 2 || got[0] != "a-pool" || got[1] != "b-pool" {
+		t.Fatalf("Names() = %v, want [a-pool b-pool]", got)
+	}
+	if p, _ := d.Get("a-pool"); p != a {
+		t.Error("Get(a-pool) returned another pool")
+	}
+	if tr := d.Transparent(); len(tr) != 1 || tr[0] != b {
+		t.Errorf("Transparent() = %v, want only b-pool", tr)
+	}
+	if p, ok := d.PoolForDomain("pool.b.example"); !ok || p != b {
+		t.Errorf("PoolForDomain(pool.b.example) = %v, %v", p, ok)
 	}
 }
 

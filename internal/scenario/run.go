@@ -134,10 +134,7 @@ func replay(in runInput) (*Result, error) {
 	if in.base.Pools == nil {
 		return nil, fmt.Errorf("scenario: base configuration has no pool directory")
 	}
-	forked, err := in.base.Pools.Fork()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: fork pool directory: %w", err)
-	}
+	forked := in.base.Pools.Fork()
 	clock := &replayClock{now: in.forkedAt}
 
 	cfg := in.base

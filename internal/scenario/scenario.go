@@ -8,9 +8,10 @@
 // timeseries store.
 //
 // The shadow shares nothing mutable with the live engine: it gets a forked
-// pool directory (pool.Directory.Fork deep-copies every ledger), its own
-// collector, aggregator and timeseries store (rebuilt from the canonical
-// EngineState snapshot), no prober, no metrics registry and no WAL. Running
+// pool directory (pool.Directory.Fork copies every ledger structurally), its
+// own collector, aggregator and timeseries store (restored from the live
+// engine's in-memory EngineState, whose aggregator inputs keep their
+// resolved enrichment), no prober, no metrics registry and no WAL. Running
 // a scenario therefore leaves the live collector, the published views and
 // any persisted checkpoint byte-identical to a scenario-free run — the
 // isolation property the §VI counterfactuals depend on.

@@ -23,11 +23,16 @@ func (l *logicalClock) now() time.Time { return time.Unix(1_500_000_000+l.c.Add(
 
 // newStreamedEngine ingests n samples from the streamed generator into a
 // live engine and waits for quiescence. The generator's pool directory, DNS
-// zone and AV ground truth back the engine, exactly like a daemon fed by a
-// live feed.
+// zone and AV ground truth back the engine, as they back cmd/bench's wide
+// corpus: the samples are drawn first, so the directory knows every pool
+// they mine at.
 func newStreamedEngine(t *testing.T, seed int64, n int) (*stream.Engine, stream.Config, *logicalClock) {
 	t.Helper()
 	gen := ecosim.NewStream(ecosim.StreamConfig{Seed: seed, Ledger: true})
+	samples := make([]*model.Sample, n)
+	for i := range samples {
+		samples[i] = gen.Next().Sample
+	}
 	clock := &logicalClock{}
 	shards := 2
 	if n > 10_000 {
@@ -46,8 +51,8 @@ func newStreamedEngine(t *testing.T, seed int64, n int) (*stream.Engine, stream.
 	eng := stream.New(cfg)
 	ctx := context.Background()
 	eng.Start(ctx)
-	for i := 0; i < n; i++ {
-		if err := eng.Submit(ctx, gen.Next().Sample); err != nil {
+	for i, s := range samples {
+		if err := eng.Submit(ctx, s); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"cryptomining/internal/core"
+	"cryptomining/internal/dnssim"
 	"cryptomining/internal/ecosim"
+	"cryptomining/internal/model"
 	"cryptomining/internal/probe"
 	"cryptomining/internal/stream"
 )
@@ -133,6 +136,107 @@ func TestEngineStateRoundtripMidStream(t *testing.T) {
 				t.Fatalf("cut %d: campaign %d diverges", cut, i)
 			}
 		}
+	}
+}
+
+// TestRestorePathsAgree restores one exported state twice, the way a what-if
+// shadow is built (the in-memory ExportState, enrichment carried over) and
+// the way a recovery is (its gob round trip, enrichment derived again), each
+// over its own fork of the pool directory. Both must re-export the same bytes
+// and publish the same view. The streamed corpus has PPI-labelled samples
+// and miners that reach their pool through a CNAME alias, the two
+// enrichments that read the labels and the directory.
+func TestRestorePathsAgree(t *testing.T) {
+	gen := ecosim.NewStream(ecosim.StreamConfig{Seed: 2019, Ledger: true})
+	samples := make([]*model.Sample, 1500)
+	for i := range samples {
+		samples[i] = gen.Next().Sample
+	}
+	cfg := stream.Config{
+		AV:        gen.AVProvider(),
+		Resolver:  dnssim.NewResolver(gen.Zone()),
+		Zone:      gen.Zone(),
+		Pools:     gen.Pools(),
+		Network:   gen.Network(),
+		QueryTime: gen.QueryTime(),
+		Shards:    2,
+	}
+	ctx := context.Background()
+	live := stream.New(cfg)
+	live.Start(ctx)
+	for _, s := range samples {
+		if err := live.Submit(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitProcessed(t, live, int64(len(samples)))
+
+	encode := func(st *stream.EngineState) []byte {
+		t.Helper()
+		st.Counters.UptimeNanos = 0 // wall-clock, legitimately differs
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	view := func(e *stream.Engine) []byte {
+		t.Helper()
+		v := e.CurrentView()
+		b, err := json.Marshal(struct {
+			Campaigns    []stream.CampaignView
+			Details      []*stream.CampaignDetail
+			TimelineKeys []string
+			Years        []stream.YearStats
+		}{v.Campaigns, v.Details, v.TimelineKeys, v.Years})
+		if err != nil {
+			t.Fatalf("marshal view: %v", err)
+		}
+		return b
+	}
+	restore := func(st *stream.EngineState) *stream.Engine {
+		t.Helper()
+		c := cfg
+		c.Pools = cfg.Pools.Fork()
+		e := stream.New(c)
+		if err := e.RestoreState(st); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		return e
+	}
+
+	st := live.ExportState()
+	want := encode(st)
+	var decoded stream.EngineState
+	if err := gob.NewDecoder(bytes.NewReader(want)).Decode(&decoded); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	memory, fromGob := restore(st), restore(&decoded)
+
+	if got := encode(memory.ExportState()); !bytes.Equal(got, want) {
+		t.Fatalf("in-memory restore re-exports %d bytes unlike the exported %d", len(got), len(want))
+	}
+	if got := encode(fromGob.ExportState()); !bytes.Equal(got, want) {
+		t.Fatalf("gob restore re-exports %d bytes unlike the exported %d", len(got), len(want))
+	}
+	if !bytes.Equal(view(memory), view(fromGob)) {
+		t.Fatalf("the two restore paths publish different views")
+	}
+	if !bytes.Equal(view(memory), view(live)) {
+		t.Fatalf("the restored view differs from the live one")
+	}
+
+	var ppi, aliased int
+	for _, d := range memory.CurrentView().Details {
+		if len(d.PPIBotnets) > 0 {
+			ppi++
+		}
+		if len(d.CNAMEs) > 0 && len(d.Pools) > 0 {
+			aliased++
+		}
+	}
+	if ppi == 0 || aliased == 0 {
+		t.Fatalf("corpus exercises too little: %d campaigns with PPI botnets, %d with an aliased pool", ppi, aliased)
 	}
 }
 
