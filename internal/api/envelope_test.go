@@ -58,6 +58,9 @@ func TestErrorEnvelopes(t *testing.T) {
 	busy := `{"content":"` + "YnVzeQ==" + `"}`   // "busy"
 	closed := `{"content":"` + "Y2xvc2Vk" + `"}` // "closed"
 	powFork := `{"interventions":[{"kind":"pow_fork","at":"2018-06-01T00:00:00Z"}]}`
+	// One byte over the single-sample body limit: the padding is whitespace
+	// inside a valid document, so only the limit can reject it.
+	overLimit := paddedSample(api.MaxSampleBody + 1)
 	rows := []struct {
 		srv          *httptest.Server
 		method, path string
@@ -75,6 +78,7 @@ func TestErrorEnvelopes(t *testing.T) {
 		{bare, "GET", "/api/v1/results", "", 503, apiv1.CodeResultsPending},
 		{bare, "POST", "/api/v1/checkpoint", "", 409, apiv1.CodePersistenceDisabled},
 		{bare, "POST", "/api/v1/samples", "{nope", 400, apiv1.CodeBadRequest},
+		{bare, "POST", "/api/v1/samples", overLimit, 400, apiv1.CodeBadRequest},
 		{bare, "POST", "/api/v1/samples", closed, 409, apiv1.CodeIngestClosed},
 		{bare, "POST", "/api/v1/samples", busy, 503, apiv1.CodeBackpressure},
 		{bare, "GET", "/api/v1/probe", "", 409, apiv1.CodeProbeDisabled},
@@ -99,6 +103,29 @@ func TestErrorEnvelopes(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		requireEnvelope(t, what, resp, r.status, r.code)
+	}
+}
+
+// paddedSample is a single-sample JSON body of exactly n bytes, padded with
+// whitespace before its closing brace.
+func paddedSample(n int) string {
+	const head, tail = `{"content":"bm90IGEgbWluZXI="`, "}"
+	return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+}
+
+// TestSampleBodyAtLimitDecodes: a single-sample body of exactly the limit is
+// accepted; the limit rejects only what exceeds it (TestErrorEnvelopes).
+func TestSampleBodyAtLimitDecodes(t *testing.T) {
+	srv := newBareDaemon(t)
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/samples", "application/json",
+		strings.NewReader(paddedSample(api.MaxSampleBody)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got apiv1.IngestResult
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusAccepted || got.Accepted != 1 {
+		t.Fatalf("body at the limit: status %d, %+v, %v; want 202 with one accepted", resp.StatusCode, got, err)
 	}
 }
 

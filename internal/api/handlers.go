@@ -17,7 +17,8 @@ import (
 	"cryptomining/pkg/apiv1"
 )
 
-// maxNDJSONLine bounds one bulk-ingestion line (samples carry base64 bodies).
+// maxNDJSONLine bounds one bulk-ingestion line and a single-sample body
+// (samples carry base64 bodies).
 const maxNDJSONLine = 32 << 20
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -197,7 +198,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	case "application/x-ndjson", "application/ndjson":
 		s.ingestBulk(w, r)
 	default:
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxNDJSONLine))
 		var ws apiv1.Sample
 		if err := dec.Decode(&ws); err != nil {
 			s.error(w, http.StatusBadRequest, apiv1.CodeBadRequest, "decode sample: "+err.Error())

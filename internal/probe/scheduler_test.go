@@ -327,7 +327,10 @@ func TestEnsureFreshAndCacheRoundTrip(t *testing.T) {
 	}
 
 	// Past the TTL the restored entries do qualify (w3, probed 40 minutes
-	// ago by this scheduler, is still fresh).
+	// ago by this scheduler, is still fresh). The advance also fires the TTL
+	// sweep (every TTL/4), which would queue w1 and w2 before EnsureFresh
+	// does: switch it off so the count below is EnsureFresh's alone.
+	s2.DisableRefresh()
 	clk2.Advance(40 * time.Minute)
 	if n := s2.EnsureFresh([]string{"w1", "w2", "w3"}); n != 2 {
 		t.Fatalf("EnsureFresh after TTL scheduled %d probes, want 2", n)

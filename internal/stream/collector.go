@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -29,8 +30,8 @@ import (
 // All rules are monotone — outcomes only ever flip toward malware, the keep
 // set only grows, components only merge — which is why applying them at each
 // arrival reaches exactly the fixpoint the batch passes compute at the end.
-// The collector runs in a single goroutine; the engine serializes external
-// reads (Stats, live snapshots, finalize) with its mutex.
+// Once the engine has started, only the collector goroutine (Engine.collect)
+// writes this state, under Engine.mu, which the locked readers also take.
 type collector struct {
 	e *Engine
 
@@ -65,8 +66,8 @@ type collector struct {
 	// probe completions concern the dataset).
 	seenWallets map[string]bool //cryptolint:guardedby Engine.mu
 	// pricedProfit records, per wallet, the totals already folded into the
-	// live profit counters in probe mode; probe updates apply deltas against
-	// it so TTL refreshes adjust rather than double-count.
+	// live profit counters; probe updates and scenario re-pricings apply
+	// deltas against it so refreshes adjust rather than double-count.
 	pricedProfit map[string]pricedTotals //cryptolint:guardedby Engine.mu
 	// byEarnings is the read tier's entry cache (see viewEntry), one entry
 	// per live component, in listing order; stale queues the entries whose
@@ -77,9 +78,9 @@ type collector struct {
 	byEarnings []*viewEntry      //cryptolint:guardedby Engine.mu
 	stale      []*viewEntry      //cryptolint:guardedby Engine.mu
 	years      map[int]yearTally //cryptolint:guardedby Engine.mu
-	// sealed is the run's final Results, set once by finalize; from then on
-	// late probe updates (forced refreshes) must no longer touch shared
-	// campaign state.
+	// sealed is the run's final Results, set once by finalize; the collector
+	// goroutine exits right after, so no later probe update touches campaign
+	// state shared with them.
 	sealed *Results //cryptolint:guardedby Engine.mu
 	// now is the timeseries recording timestamp for the event currently
 	// being collected; the engine reads its clock once per event (collected
@@ -233,7 +234,7 @@ func (c *collector) decideKeep(o *SampleOutcome, h string) {
 	if o.Kept || !o.IsMalware {
 		return
 	}
-	root := c.relFind(h)
+	root := c.rel.Find(h)
 	switch {
 	case o.IsMiner:
 		o.Kept = true
@@ -321,10 +322,8 @@ func (c *collector) keep(o *SampleOutcome) {
 				c.applyProbedActivity(wallet, ent.Activity)
 			}
 		} else if _, donation := c.e.cfg.OSINT.IsDonationWallet(wallet); !donation {
-			act := c.wallets.CollectWallet(wallet)
-			c.e.stats.wallets.Add(1)
-			c.e.stats.addLiveProfit(act.TotalXMR, act.TotalUSD)
-			c.recordProfitTS(wallet, act.TotalXMR)
+			// The donation check comes first: it spares the pool query.
+			c.applyProbedActivity(wallet, c.wallets.CollectWallet(wallet))
 		}
 	}
 
@@ -360,12 +359,13 @@ func (c *collector) poolNameOf(rec *model.Record) string {
 	return ""
 }
 
-// applyProbedActivity folds one probed wallet's cross-pool totals into the
-// live profit counters, as a delta against what the wallet contributed
-// before — so a TTL refresh against live pools adjusts the running figures
-// instead of double-counting, and re-applying an unchanged activity is a
-// no-op. Donation wallets stay excluded from the running totals, exactly as
-// in the synchronous path. Called under e.mu.
+// applyProbedActivity folds one wallet's cross-pool totals into the live
+// profit counters, as a delta against what the wallet contributed before,
+// and records the new figure as its baseline — so a TTL refresh against live
+// pools adjusts the running figures instead of double-counting, and
+// re-applying an unchanged activity is a no-op. Both the synchronous first
+// sighting and every probe completion price through it. Donation wallets stay
+// excluded from the running totals. Called under e.mu.
 func (c *collector) applyProbedActivity(wallet string, act profit.WalletActivity) {
 	if _, donation := c.e.cfg.OSINT.IsDonationWallet(wallet); donation {
 		return
@@ -415,9 +415,6 @@ func (c *collector) recordProfitTS(wallet string, deltaXMR float64) {
 	}
 }
 
-// relFind returns the relation-component root of a sample hash.
-func (c *collector) relFind(x string) string { return c.rel.Find(x) }
-
 // relUnion merges the components of two related sample hashes, combining the
 // miner flag and the parked outcomes — and releasing the latter when the
 // merge connects them to a miner.
@@ -451,14 +448,8 @@ func (c *collector) finalize() *Results {
 		CountsByResource: map[model.AnalysisResource]int{},
 		QueryTime:        c.e.cfg.QueryTime,
 	}
-	hashes := make([]string, 0, len(c.outcomes))
-	for h := range c.outcomes {
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-
 	identifierSet := map[string]bool{}
-	for _, h := range hashes {
+	for _, h := range slices.Sorted(maps.Keys(c.outcomes)) {
 		o := c.outcomes[h]
 		if !o.Kept {
 			continue

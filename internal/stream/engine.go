@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -53,10 +54,14 @@ type Engine struct {
 	outcomes chan *Task
 	shards   []*shard
 
-	// mu serializes the collector's mutations with the remaining stateful
-	// entry points (finalize, state export/restore, HasSample). The read tier
-	// does NOT take it: every GET-shaped accessor serves from the last
-	// published view.
+	// mu guards the collector state. Once Start has run, the collector
+	// goroutine is its only writer (samples, probe updates and the seal all
+	// reach it through collect); mu orders those writes against the readers
+	// that need a consistent instant (ExportState, HasSample, SeenWallets,
+	// Reference) and against the writers that run while no collector
+	// goroutine is live (RestoreState before Start, the scenario seam on a
+	// shadow engine that is never started). The read tier does NOT take it:
+	// every GET-shaped accessor serves from the last published view.
 	mu  sync.Mutex
 	col *collector //cryptolint:guardedby mu
 	// signature is the collector's campaign.IncrementalAggregator.Signature,
@@ -82,10 +87,19 @@ type Engine struct {
 	ackLow   uint64              //cryptolint:guardedby mu
 	ackAbove map[uint64]struct{} //cryptolint:guardedby mu
 
+	// probes carries probe completions to the collector goroutine (buffered
+	// like the dataflow's channels, so completions queue while a batch holds
+	// mu and join it); seal carries Finish's seal request.
+	probes chan probeUpdate
+	seal   chan struct{}
+
 	runCtx     context.Context
 	startOnce  sync.Once
 	finishOnce sync.Once
-	done       chan struct{}
+	// drained closes once the collector has absorbed the last sample; done
+	// closes when it exits, after the seal or when the run's context ends.
+	drained chan struct{}
+	done    chan struct{}
 	// started flips once Start has fully initialized the engine. It is
 	// atomic because Submit/Finish/Stats may run concurrently with Start;
 	// the release/acquire pair also publishes runCtx to submitters.
@@ -129,7 +143,7 @@ type engineMetrics struct {
 // and only when metrics are enabled.
 func (e *Engine) registerMetrics(reg *obs.Registry) {
 	e.obs.lockHold = reg.Histogram("stream_collector_lock_hold_seconds",
-		"Time the collector holds the engine mutex per absorbed sample or probe update.",
+		"Time the collector holds the engine mutex per batch.",
 		obs.LatencyBuckets)
 	e.obs.publish = reg.Histogram("stream_view_publish_seconds",
 		"Time one publication of the read view takes, under the collector mutex.",
@@ -145,15 +159,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(len(e.outcomes)) }, obs.L("queue", "outcomes"))
 	reg.GaugeFunc("stream_shard_backlog",
 		"Samples queued in per-shard stage channels, summed across shards.",
-		func() float64 {
-			n := 0
-			for _, sh := range e.shards {
-				for _, ch := range sh.chans {
-					n += len(ch)
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(e.shardBacklog()) })
 	reg.GaugeFunc("stream_shards", "Concurrent stage chains.",
 		func() float64 { return float64(len(e.shards)) })
 	counterFuncs := []struct {
@@ -207,6 +213,9 @@ func New(cfg Config) *Engine {
 		log:      obs.Component(cfg.Logger, "stream"),
 		in:       make(chan *Task, cfg.QueueDepth),
 		outcomes: make(chan *Task, cfg.QueueDepth),
+		probes:   make(chan probeUpdate, cfg.QueueDepth),
+		seal:     make(chan struct{}),
+		drained:  make(chan struct{}),
 		done:     make(chan struct{}),
 		ackLow:   1,
 		ackAbove: map[uint64]struct{}{},
@@ -222,7 +231,8 @@ func New(cfg Config) *Engine {
 	}
 	e.col = newCollector(e)
 	e.signature = e.col.agg.Signature
-	e.view.Store(emptyView(e.publishInstant()))
+	// Epoch 0, stamped like any publication so replayed runs stay identical.
+	e.view.Store(&View{Published: e.publishInstant()})
 	if cfg.Prober != nil {
 		cfg.Prober.SetOnUpdate(e.onProbeUpdate)
 	}
@@ -232,54 +242,36 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// onProbeUpdate folds one completed wallet probe into the live state: the
-// running profit totals (for wallets the dataset has seen), a re-priced entry
-// for the one campaign that owns the wallet, and a profit_updated /
-// probe_error event on the pub/sub. Updates arriving after finalize are
-// dropped — the results are sealed, and re-pricing would mutate campaigns
-// shared with the returned Results.
-func (e *Engine) onProbeUpdate(u probe.Update) {
-	e.mu.Lock()
-	var t0 time.Time
-	if e.obs.lockHold != nil {
-		t0 = time.Now() //cryptolint:allow directclock collector lock-hold telemetry only
-	}
-	e.probeUpdateLocked(u)
-	if e.obs.lockHold != nil {
-		e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
-	}
-	e.mu.Unlock()
+// probeUpdate is one probe completion on its way to the collector goroutine.
+// ack closes once a view covering it is published; pre, set only by tests,
+// runs on the collector goroutine just before the update is applied.
+type probeUpdate struct {
+	probe.Update
+	pre func()
+	ack chan struct{}
 }
 
-// probeUpdateLocked is onProbeUpdate under e.mu.
-func (e *Engine) probeUpdateLocked(u probe.Update) {
-	if e.col.sealed != nil {
-		return
+// onProbeUpdate is the prober's completion hook. The scheduler decrements its
+// in-flight counter after the hook returns, so the hook waits until the
+// collector has published a view covering the update: a client that observes
+// probe convergence always reads a view covering the final probe.
+func (e *Engine) onProbeUpdate(u probe.Update) { e.queueProbe(u, nil)() }
+
+// queueProbe hands one update to the collector and returns the wait for its
+// acknowledgement. Once the collector has exited (sealed, or ctx ended) both
+// return at once and the update is dropped, as the results are final.
+func (e *Engine) queueProbe(u probe.Update, pre func()) (wait func()) {
+	ack := make(chan struct{})
+	select {
+	case e.probes <- probeUpdate{Update: u, pre: pre, ack: ack}:
+	case <-e.done:
 	}
-	e.col.now = e.cfg.Clock()
-	if e.col.seenWallets[u.Wallet] {
-		e.col.applyProbedActivity(u.Wallet, u.Activity)
-		// Only a wallet the dataset has seen can change campaign figures, and
-		// only those of the campaign it belongs to: queue that one entry and
-		// republish. The republish happens before the scheduler decrements
-		// its in-flight counter, so a client that observes probe convergence
-		// always reads a view covering the final probe.
-		e.col.markWalletStale(u.Wallet)
-		e.publishViewLocked()
+	return func() {
+		select {
+		case <-ack:
+		case <-e.done:
+		}
 	}
-	ev := Event{
-		Type:      EventProfitUpdated,
-		Wallet:    u.Wallet,
-		XMR:       u.Activity.TotalXMR,
-		USD:       u.Activity.TotalUSD,
-		Campaigns: int(e.stats.campaigns.Load()),
-		Kept:      int(e.stats.kept.Load()),
-	}
-	if u.Err != "" {
-		ev.Type = EventProbeError
-		ev.Error = u.Err
-	}
-	e.publish(ev)
 }
 
 // Start launches the dispatcher, the sharded stage chains and the collector.
@@ -365,33 +357,54 @@ func (e *Engine) dispatch(ctx context.Context) {
 	}
 }
 
-// collect drains analyzed samples into the collector. Samples are absorbed
-// in batches: one mutex hold drains everything already queued on the
-// outcomes channel (bounded by its capacity), then publishes a single view
-// for the whole batch — so the view's flat copy amortizes over the batch
-// under load, while a quiet feed still republishes after every sample.
+// collect is the collector goroutine, the only writer of collector state
+// once Start has run. It absorbs analyzed samples and probe completions in
+// batches: one mutex hold applies everything already queued on the outcomes
+// and probe channels, then publishes a single view for the whole batch — so
+// the view's flat copy amortizes over the batch under load, while a quiet
+// feed still republishes after every sample. After the last sample it keeps
+// serving probe updates until Finish's seal request or the end of ctx.
 func (e *Engine) collect(ctx context.Context) {
 	defer close(e.done)
+	outcomes := e.outcomes
+	// next takes one queued sample or probe update; a closed outcomes channel
+	// is set to nil, which never delivers again, and signals the drain.
+	next := func(it *Task, more bool, p *probeUpdate) (*Task, *probeUpdate) {
+		if !more {
+			outcomes = nil
+			close(e.drained)
+		}
+		return it, p
+	}
 	for {
+		var it *Task
+		var pu *probeUpdate
 		select {
 		case <-ctx.Done():
 			return
-		case it, ok := <-e.outcomes:
-			if !ok {
-				return
-			}
-			closed := false
-			var analyzed, duplicates int64
-			e.mu.Lock()
-			var t0 time.Time
-			if e.obs.lockHold != nil {
-				t0 = time.Now() //cryptolint:allow directclock collector lock-hold telemetry only
-			}
-			for it != nil {
-				// One clock read covers every series point this sample records
-				// (arrival, keep, retroactive keeps it triggers), keeping the
-				// recorded sequence deterministic for a deterministic feed.
-				e.col.now = e.cfg.Clock()
+		case <-e.seal:
+			e.sealRun()
+			return
+		case t, more := <-outcomes:
+			it, pu = next(t, more, nil)
+		case p := <-e.probes:
+			it, pu = next(nil, true, &p)
+		}
+		var analyzed, duplicates int64
+		var probed []probeUpdate
+		republish := false
+		e.mu.Lock()
+		var t0 time.Time
+		if e.obs.lockHold != nil {
+			t0 = time.Now() //cryptolint:allow directclock collector lock-hold telemetry only
+		}
+		for it != nil || pu != nil {
+			// One clock read covers every series point this event records
+			// (arrival, keep, retroactive keeps it triggers, a probe's profit
+			// delta), keeping the recorded sequence deterministic for a
+			// deterministic feed.
+			e.col.now = e.cfg.Clock()
+			if it != nil {
 				// Re-observed hashes count as duplicates, not as analyzed
 				// throughput. The sequence ack stays under the mutex so a
 				// concurrent state export sees watermark and collector state
@@ -405,37 +418,73 @@ func (e *Engine) collect(ctx context.Context) {
 				if it.seq != 0 {
 					e.ackSeq(it.seq)
 				}
-				// Coalesce: absorb whatever the shards have already queued
-				// without releasing the mutex.
-				it = nil
-				select {
-				case next, more := <-e.outcomes:
-					if more {
-						it = next
-					} else {
-						closed = true
-					}
-				default:
+			} else {
+				if pu.pre != nil {
+					pu.pre()
 				}
+				// Only a wallet the dataset has seen can change campaign
+				// figures, and only those of the campaign that owns it.
+				if e.col.seenWallets[pu.Wallet] {
+					e.col.applyProbedActivity(pu.Wallet, pu.Activity)
+					e.col.markWalletStale(pu.Wallet)
+					republish = true
+				}
+				probed = append(probed, *pu)
 			}
-			if analyzed > 0 {
-				e.publishViewLocked()
-			}
-			// The analyzed/duplicates bumps come strictly AFTER the view swap:
-			// pollers use these counters as the quiescence signal ("all N
-			// samples absorbed"), and with lock-free reads the counter order is
-			// the only thing guaranteeing that a poller observing analyzed == N
-			// then loads a view covering all N samples.
-			e.stats.analyzed.Add(analyzed)
-			e.stats.duplicates.Add(duplicates)
-			if e.obs.lockHold != nil {
-				e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
-			}
-			e.mu.Unlock()
-			if closed {
-				return
+			// Coalesce: absorb whatever is already queued without releasing
+			// the mutex.
+			it, pu = nil, nil
+			select {
+			case t, more := <-outcomes:
+				it, pu = next(t, more, nil)
+			case p := <-e.probes:
+				it, pu = next(nil, true, &p)
+			default:
 			}
 		}
+		if analyzed > 0 || republish {
+			e.publishViewLocked()
+		}
+		for _, p := range probed {
+			ev := Event{Type: EventProfitUpdated, Wallet: p.Wallet, XMR: p.Activity.TotalXMR, USD: p.Activity.TotalUSD,
+				Campaigns: int(e.stats.campaigns.Load()), Kept: int(e.stats.kept.Load())}
+			if p.Err != "" {
+				ev.Type, ev.Error = EventProbeError, p.Err
+			}
+			e.publish(ev)
+		}
+		// The analyzed/duplicates bumps come strictly AFTER the view swap:
+		// pollers use these counters as the quiescence signal ("all N
+		// samples absorbed"), and with lock-free reads the counter order is
+		// the only thing guaranteeing that a poller observing analyzed == N
+		// then loads a view covering all N samples.
+		e.stats.analyzed.Add(analyzed)
+		e.stats.duplicates.Add(duplicates)
+		if e.obs.lockHold != nil {
+			e.obs.lockHold.Observe(time.Since(t0).Seconds()) //cryptolint:allow directclock collector lock-hold telemetry only
+		}
+		e.mu.Unlock()
+		// Acknowledge only after the publication (see onProbeUpdate).
+		for _, p := range probed {
+			close(p.ack)
+		}
+	}
+}
+
+// sealRun serves Finish's seal request on the collector goroutine. Probes
+// cached with their updates still on the way are dropped once the collector
+// exits, so the cache is reconciled first. finalize leaves every cached entry
+// derived from the final pricing: the sealed publication only copies.
+func (e *Engine) sealRun() {
+	e.mu.Lock()
+	e.col.reconcileProbeCache(slices.Sorted(maps.Keys(e.col.seenWallets)))
+	e.col.finalize()
+	e.publishViewLocked()
+	e.mu.Unlock()
+	if p := e.cfg.Prober; p != nil {
+		// The results are sealed; automatic re-probes would be discarded, so
+		// stop the TTL sweep from hammering pools for nothing.
+		p.DisableRefresh()
 	}
 }
 
@@ -520,10 +569,11 @@ func (e *Engine) submit(ctx context.Context, sample *model.Sample, seq uint64) e
 // Finish closes the intake, waits for the dataflow to drain and seals the
 // run: it returns the final results and publishes them as View.Results.
 // Submits racing with Finish either land before the intake closes or return
-// an error. Sealing happens exactly once: every later or concurrent call
-// returns the same *Results, with no second drained event or publication.
-// A call whose context expires before the seal fails with the context's error
-// and leaves sealing to a later call.
+// an error. The collector goroutine seals exactly once: every later or
+// concurrent call returns the same *Results, with no second drained event or
+// publication. A call whose context expires before the collector takes its
+// seal request fails with the context's error and leaves sealing to a later
+// call.
 func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 	if !e.started.Load() {
 		return nil, ErrNotStarted
@@ -538,53 +588,39 @@ func (e *Engine) Finish(ctx context.Context) (*Results, error) {
 		close(e.in)
 	})
 	select {
-	case <-e.done:
+	case <-e.drained:
+	case <-e.done: // sealed by a concurrent call, or the run's context ended
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	if err := e.runCtx.Err(); err != nil {
-		return nil, fmt.Errorf("stream: ingestion aborted: %w", err)
-	}
-	var wallets []string
-	if p := e.cfg.Prober; p != nil {
-		// The probe cache is the profit source: finalize only once every
-		// wallet the collector enqueued has been probed, so the final figures
-		// match the batch pipeline's synchronous collection exactly. Waiting
-		// on cache coverage (not queue drain) keeps Finish terminating even
-		// when the TTL is shorter than a full crawl and the sweep keeps the
-		// queue from ever emptying.
-		e.mu.Lock()
-		wallets = sortedKeys(e.col.seenWallets)
-		e.mu.Unlock()
-		if err := p.WaitCached(ctx, wallets); err != nil {
-			return nil, fmt.Errorf("stream: waiting for probe convergence: %w", err)
+	// A run whose context ended may have drained short: it is never sealed.
+	if e.runCtx.Err() == nil {
+		if p := e.cfg.Prober; p != nil {
+			// The probe cache is the profit source: seal only once every
+			// wallet the collector enqueued has been probed, so the final
+			// figures match the batch pipeline's synchronous collection
+			// exactly. Waiting on cache coverage (not queue drain) keeps
+			// Finish terminating even when the TTL is shorter than a full
+			// crawl and the sweep keeps the queue from ever emptying.
+			if err := p.WaitCached(ctx, e.SeenWallets()); err != nil {
+				return nil, fmt.Errorf("stream: waiting for probe convergence: %w", err)
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		select {
+		case e.seal <- struct{}{}:
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if res := e.col.sealed; res != nil {
-		// A concurrent call sealed first.
-		e.mu.Unlock()
+	<-e.done
+	if res := e.view.Load().Results; res != nil {
 		return res, nil
 	}
-	// The last probes may be cached with their updates still on the way;
-	// those would arrive after finalize and be dropped, leaving the live
-	// series one delta short of what a restart reconciles.
-	e.col.reconcileProbeCache(wallets)
-	res := e.col.finalize()
-	// Republish so the read tier serves the sealed figures and the seal:
-	// finalize left every cached entry derived from the final per-campaign
-	// pricing, so this publication only copies, never re-prices.
-	e.publishViewLocked()
-	e.mu.Unlock()
-	if p := e.cfg.Prober; p != nil {
-		// The results are sealed; automatic re-probes would be discarded, so
-		// stop the TTL sweep from hammering pools for nothing.
-		p.DisableRefresh()
-	}
-	return res, nil
+	return nil, fmt.Errorf("stream: ingestion aborted: %w", e.runCtx.Err())
 }
 
 // CampaignView is a live, JSON-friendly summary of one campaign.
@@ -841,11 +877,17 @@ func (e *Engine) CampaignTimeline(id int, q TimeseriesQuery) (TimeseriesSnapshot
 func (e *Engine) Stats() Stats {
 	s := e.stats.snapshot()
 	s.Shards = len(e.shards)
-	s.Backpressure = len(e.in) + len(e.outcomes)
+	s.Backpressure = len(e.in) + len(e.outcomes) + e.shardBacklog()
+	return s
+}
+
+// shardBacklog sums the samples queued in the per-shard stage channels.
+func (e *Engine) shardBacklog() int {
+	n := 0
 	for _, sh := range e.shards {
 		for _, ch := range sh.chans {
-			s.Backpressure += len(ch)
+			n += len(ch)
 		}
 	}
-	return s
+	return n
 }

@@ -123,17 +123,21 @@ func (e *Engine) SetCollect(collect func(wallet string) profit.WalletActivity) {
 	e.col.collect = collect
 }
 
-// InjectProbeUpdate delivers one probe completion the way the prober does,
-// running pre under the same hold of the collector mutex — so a test that
-// serves activity through SetCollect can change what a wallet earns and tell
-// the engine in one step, with no instant at which the engine could price
-// the new figure without having been told. Like the engine, pre skips
-// updates that arrive after finalize.
+// QueueProbeUpdate hands one probe completion to the collector goroutine
+// through the prober's own input and returns without waiting; the returned
+// function waits for the acknowledgement the prober's hook waits for. pre
+// runs on the collector goroutine, under the collector mutex, just before the
+// update is applied — so a test that serves activity through SetCollect can
+// change what a wallet earns and tell the engine in one step, with no instant
+// at which the engine could price the new figure without having been told.
+// Like the update itself, pre is dropped once the collector has exited (the
+// run is sealed or its context ended).
+func (e *Engine) QueueProbeUpdate(u probe.Update, pre func()) (wait func()) {
+	return e.queueProbe(u, pre)
+}
+
+// InjectProbeUpdate is QueueProbeUpdate followed by the wait: it delivers
+// one probe completion the way the prober does.
 func (e *Engine) InjectProbeUpdate(u probe.Update, pre func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if pre != nil && e.col.sealed == nil {
-		pre()
-	}
-	e.probeUpdateLocked(u)
+	e.QueueProbeUpdate(u, pre)()
 }

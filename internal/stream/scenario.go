@@ -2,7 +2,7 @@ package stream
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
 // This file is the engine's seam for shadow scenario replays
@@ -25,14 +25,14 @@ func (e *Engine) SeenWallets() []string {
 	return sortedTrueKeys(e.col.seenWallets)
 }
 
-// PrimeScenarioBaselines back-fills the per-wallet priced baselines for
-// wallets that were priced on the synchronous keep path (which folds totals
-// into the counters without recording a per-wallet baseline). After priming,
-// a re-price of an unchanged wallet is an exact no-op delta, so the shadow's
-// counters and series stay byte-identical to the live engine until an
-// intervention actually changes a ledger. Wallets already baselined (probe
-// reconciliation, restored checkpoints) are left untouched; counters and
-// timeseries are not modified.
+// PrimeScenarioBaselines back-fills a per-wallet priced baseline for every
+// seen wallet that has none yet — one whose probe had not landed when the
+// live state was exported, or one restored from a checkpoint written before
+// the synchronous keep path recorded baselines. Every wallet priced on either
+// path already has one and is left untouched. After priming, a re-price of an
+// unchanged wallet is an exact no-op delta, so the shadow's counters and
+// series stay byte-identical to the live engine until an intervention
+// actually changes a ledger; counters and timeseries are not modified.
 func (e *Engine) PrimeScenarioBaselines() error {
 	if e.cfg.Prober != nil {
 		return ErrScenarioProbed
@@ -62,21 +62,11 @@ func (e *Engine) RepriceScenarioWallets(wallets []string) error {
 	if e.cfg.Prober != nil {
 		return ErrScenarioProbed
 	}
-	dedup := make(map[string]bool, len(wallets))
-	for _, w := range wallets {
-		dedup[w] = true
-	}
-	ordered := make([]string, 0, len(dedup))
-	for w := range dedup {
-		ordered = append(ordered, w)
-	}
-	sort.Strings(ordered)
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.col.now = e.cfg.Clock()
 	changed := false
-	for _, w := range ordered {
+	for _, w := range slices.Compact(slices.Sorted(slices.Values(wallets))) {
 		if !e.col.seenWallets[w] {
 			continue
 		}

@@ -3,6 +3,8 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"cryptomining/internal/campaign"
@@ -61,8 +63,8 @@ type EngineState struct {
 	// live profit totals.
 	SeenWallets []string
 	// PricedWallets records, per wallet (sorted), the totals already folded
-	// into the live profit counters in probe mode; restore applies probe
-	// results as deltas against it, so nothing double-counts.
+	// into the live profit counters; restore and re-pricing apply later
+	// figures as deltas against it, so nothing double-counts.
 	PricedWallets []PricedWalletState
 	// Probe is the wallet-probe cache when the engine runs with an
 	// asynchronous prober (nil otherwise). Restoring it is what lets a
@@ -149,31 +151,23 @@ func (e *Engine) ExportState() *EngineState {
 		AckLow: e.ackLow,
 		Agg:    c.agg.ExportState(),
 	}
-	for seq := range e.ackAbove {
-		st.AckAbove = append(st.AckAbove, seq)
-	}
-	sort.Slice(st.AckAbove, func(i, j int) bool { return st.AckAbove[i] < st.AckAbove[j] })
+	st.AckAbove = slices.Sorted(maps.Keys(e.ackAbove))
 
-	for _, k := range sortedKeys(c.outcomes) {
+	for _, k := range slices.Sorted(maps.Keys(c.outcomes)) {
 		st.Outcomes = append(st.Outcomes, OutcomeState{Key: k, Outcome: *c.outcomes[k]})
 	}
-	for _, k := range sortedKeys(c.pending) {
+	for _, k := range slices.Sorted(maps.Keys(c.pending)) {
 		p := c.pending[k]
 		st.Pending = append(st.Pending, PendingState{Key: k, Signature: p.sig, Labels: p.labels})
 	}
 	st.Illicit = sortedTrueKeys(c.illicit)
 
 	parent, rank := c.rel.Export()
-	children := make([]string, 0, len(parent))
-	for n := range parent {
-		children = append(children, n)
-	}
-	sort.Strings(children)
-	for _, n := range children {
+	for _, n := range slices.Sorted(maps.Keys(parent)) {
 		st.Relations = append(st.Relations, HashRelation{Node: n, Parent: parent[n], Rank: rank[n]})
 	}
 	st.RelMiners = sortedTrueKeys(c.relMiner)
-	for _, root := range sortedKeys(c.relWaiting) {
+	for _, root := range slices.Sorted(maps.Keys(c.relWaiting)) {
 		ws := WaitingState{Root: root}
 		for _, o := range c.relWaiting[root] {
 			ws.Keys = append(ws.Keys, keyOf(o))
@@ -182,7 +176,7 @@ func (e *Engine) ExportState() *EngineState {
 		st.RelWaiting = append(st.RelWaiting, ws)
 	}
 	st.SeenWallets = sortedTrueKeys(c.seenWallets)
-	for _, w := range sortedKeys(c.pricedProfit) {
+	for _, w := range slices.Sorted(maps.Keys(c.pricedProfit)) {
 		p := c.pricedProfit[w]
 		st.PricedWallets = append(st.PricedWallets, PricedWalletState{Wallet: w, XMR: p.xmr, USD: p.usd})
 	}
@@ -243,7 +237,7 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	}
 	// Rebuild the by-wallet index over the restored outcome objects, so
 	// retroactive illicit-wallet flips keep mutating the canonical outcome.
-	for _, k := range sortedKeys(c.outcomes) {
+	for _, k := range slices.Sorted(maps.Keys(c.outcomes)) {
 		if o := c.outcomes[k]; o.Record.HasIdentifier() {
 			c.byWallet[o.Record.User] = append(c.byWallet[o.Record.User], o)
 		}
@@ -343,16 +337,6 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	// rebuilds the whole entry cache.
 	e.publishViewLocked()
 	return nil
-}
-
-// sortedKeys returns the sorted keys of a string-keyed map.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sortedTrueKeys returns the sorted keys mapped to true. Flag maps may hold

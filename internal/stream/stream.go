@@ -93,14 +93,13 @@ type Config struct {
 	// keep timeseries.DefaultLevels.
 	Clock func() time.Time
 
-	// Prober, when set, makes wallet-statistics collection asynchronous: the
-	// collector's first sighting of a wallet enqueues a probe instead of
-	// querying Pools synchronously under the collector lock, live profit is
-	// served from the probe cache, completed probes publish profit_updated
-	// (and failures probe_error) events, and Finish waits for the crawl to
-	// converge before pricing final results — which is what keeps them
-	// bit-identical to the synchronous batch path. Nil keeps the historical
-	// in-line collection.
+	// Prober, when set, makes wallet-statistics collection asynchronous: a
+	// wallet's first sighting enqueues a probe instead of querying Pools under
+	// the collector lock. Each completion joins the collector's next batch,
+	// publishes profit_updated (or probe_error), and returns once that batch's
+	// view is published, so start the engine before the prober. Finish seals
+	// only once every seen wallet is cached, which keeps the final results
+	// bit-identical to the batch path. Nil keeps in-line collection.
 	Prober *probe.Scheduler
 
 	// Metrics, when set, makes the engine register and maintain its

@@ -14,8 +14,8 @@ import (
 // serves: the priced campaign listing (earnings-descending), the full detail
 // views, the campaign-to-timeline-key mapping and the data-time yearly
 // breakdown. The collector publishes a fresh View via atomic pointer swap at
-// the end of every aggregation batch, after each dataset-relevant probe
-// completion, on finalize and on state restore — readers load the pointer and
+// the end of every batch of samples and probe completions that changed it,
+// on finalize and on state restore — readers load the pointer and
 // never touch the collector mutex, so a GET can never stall ingestion (and a
 // long checkpoint can never stall a GET).
 //
@@ -44,8 +44,8 @@ type View struct {
 	TimelineKeys []string
 	// Years is the data-time yearly-evolution breakdown.
 	Years []YearStats
-	// Results is the sealed run, nil until Finish seals it; the publication
-	// Finish makes carries it, and every later one carries it forward.
+	// Results is the sealed run, nil until Finish seals it; the seal's
+	// publication carries it, and it is the collector's last.
 	Results *Results
 }
 
@@ -315,12 +315,6 @@ func (e *Engine) publishInstant() time.Time {
 		return e.col.now
 	}
 	return e.cfg.QueryTime
-}
-
-// emptyView is the epoch-0 snapshot every engine starts with, stamped like
-// any published view so replayed runs stay identical.
-func emptyView(at time.Time) *View {
-	return &View{Published: at}
 }
 
 // viewOf assembles the listing row of one priced campaign, ID aside: the

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -140,10 +141,14 @@ func TestPublishCostDoesNotScaleWithCorpus(t *testing.T) {
 // TestProbeUpdateRepricesOneCampaign counts calls through the collect seam: a
 // probe completion re-prices the campaign that owns the wallet — one call per
 // wallet of that campaign — and no other, and a completion for a wallet that
-// groups nothing re-prices none; each publishes exactly once.
+// groups nothing re-prices none; each publishes exactly once. The hook hands
+// each completion to the collector goroutine, so the engine runs.
 func TestProbeUpdateRepricesOneCampaign(t *testing.T) {
 	prober := probe.New(probe.Config{Source: probe.NewDirectorySource(pool.NewDirectory(nil), time.Time{})})
 	e, calls := costEngine(t, 500, prober)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Start(ctx)
 
 	for _, tc := range []struct {
 		wallet string
