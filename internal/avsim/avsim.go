@@ -13,7 +13,6 @@ package avsim
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"strings"
 	"time"
 
@@ -87,9 +86,15 @@ func NewScanner() *Scanner {
 
 // hashFraction derives a deterministic pseudo-random fraction in [0,1) from
 // the sample hash, the vendor and a salt. Determinism keeps the whole
-// measurement reproducible for a fixed corpus.
+// measurement reproducible for a fixed corpus. The digest is taken over
+// sha256Hex|vendor|salt joined in a stack buffer, which holds a hex digest
+// and every vendor name and salt without growing onto the heap.
 func hashFraction(sha256Hex, vendor, salt string) float64 {
-	h := sha256.Sum256([]byte(sha256Hex + "|" + vendor + "|" + salt))
+	var buf [128]byte
+	key := append(buf[:0], sha256Hex...)
+	key = append(append(key, '|'), vendor...)
+	key = append(append(key, '|'), salt...)
+	h := sha256.Sum256(key)
 	v := binary.BigEndian.Uint64(h[:8])
 	return float64(v) / float64(^uint64(0))
 }
@@ -106,7 +111,7 @@ func (s *Scanner) Scan(sha256Hex string, truth SampleTruth, queriedAt time.Time)
 	if len(vendors) == 0 {
 		vendors = Vendors
 	}
-	report := &model.AVReport{SHA256: sha256Hex, QueriedAt: queriedAt}
+	report := &model.AVReport{SHA256: sha256Hex, QueriedAt: queriedAt, Verdicts: make([]model.AVVerdict, 0, len(vendors))}
 	detectRate := s.Profile.DetectionRate
 	if truth.Stealthy {
 		detectRate *= 0.12 // stealthy samples slip past most engines
@@ -137,8 +142,22 @@ func (s *Scanner) label(sha256Hex, vendor string, truth SampleTruth) string {
 			family = genericFamilies[int(pick*float64(len(genericFamilies)))%len(genericFamilies)]
 		}
 	}
-	variant := strings.ToUpper(sha256Hex[:6])
-	return fmt.Sprintf("%s.%s", family, variant)
+	// The variant is the digest's first six bytes upper-cased, as
+	// strings.ToUpper does it; an ASCII variant (a hex digest's) is converted
+	// on the stack, so the label is the one allocation.
+	v := sha256Hex[:6]
+	var up [6]byte
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c >= 0x80 {
+			return family + "." + strings.ToUpper(v)
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return family + "." + string(up[:])
 }
 
 // Classification is the sanity-check outcome for one sample.

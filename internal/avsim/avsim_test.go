@@ -188,6 +188,23 @@ func TestClassifyDefaultThreshold(t *testing.T) {
 	}
 }
 
+// scanAllocs bounds the allocations of one Scan beyond one per label: the
+// report and its verdicts. Measured on go1.24: 2.
+const scanAllocs = 2
+
+func TestScanAllocBudget(t *testing.T) {
+	s := NewScanner()
+	sha := strings.Repeat("3f", 32)
+	for _, truth := range []SampleTruth{{}, {Malicious: true, Miner: true}, {Malicious: true, Family: "Forced"}} {
+		labels := s.Scan(sha, truth, time.Time{}).Positives()
+		allocs := testing.AllocsPerRun(100, func() { s.Scan(sha, truth, time.Time{}) })
+		if budget := scanAllocs + labels; allocs > float64(budget) {
+			t.Errorf("Scan(%+v) allocates %v times for %d labels, budget %d", truth, allocs, labels, budget)
+		}
+		t.Logf("Scan(%+v): %v allocations for %d labels", truth, allocs, labels)
+	}
+}
+
 func BenchmarkScan(b *testing.B) {
 	s := NewScanner()
 	truth := SampleTruth{Malicious: true, Miner: true}

@@ -119,12 +119,15 @@ func NewScanner(sigs ...PackerSignature) *Scanner {
 	return &Scanner{sigs: sigs}
 }
 
-// sigMatches reports whether a signature matches content. Markers shorter
-// than 4 bytes would false-positive inside high-entropy data when searched
-// anywhere, so they only match at the start of the file (where real container
-// magics live).
+// MinAnywhereMarker is the length from which a packer marker matches
+// anywhere in content. Shorter markers would false-positive inside
+// high-entropy data, so they only match at the start of the file (where real
+// container magics live).
+const MinAnywhereMarker = 4
+
+// sigMatches reports whether a signature matches content.
 func sigMatches(sig PackerSignature, content []byte) bool {
-	if len(sig.Marker) < 4 {
+	if len(sig.Marker) < MinAnywhereMarker {
 		return bytes.HasPrefix(content, sig.Marker)
 	}
 	return bytes.Contains(content, sig.Marker)
@@ -304,6 +307,10 @@ var printable = func() (t [256]uint8) {
 	}
 	return t
 }()
+
+// Printable is 1 when c is printable ASCII, 0 otherwise: the class the
+// strings pass splits a body into runs by.
+func Printable(c byte) int { return int(printable[c]) }
 
 // printableRuns yields every run of at least minLen (4 when not positive)
 // printable ASCII bytes in content, in order of appearance: the strings the

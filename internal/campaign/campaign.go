@@ -110,6 +110,8 @@ func DefaultConfig(store *osint.Store, detector *dnssim.AliasDetector, poolDomai
 // Aggregator builds the campaign graph.
 type Aggregator struct {
 	cfg Config
+	// poolDomains is cfg.PoolDomains keyed by the lower-cased domain.
+	poolDomains dnssim.DomainIndex
 	// stockSignatures is the catalogue's fuzzy hashes as the store had them
 	// at New (computed once per store, see osint.Store.StockSignatures).
 	stockSignatures []osint.StockSignature
@@ -126,7 +128,11 @@ func New(cfg Config) *Aggregator {
 	if cfg.ObfuscationRatio <= 0 {
 		cfg.ObfuscationRatio = 0.8
 	}
-	return &Aggregator{cfg: cfg, stockSignatures: cfg.OSINT.StockSignatures()}
+	return &Aggregator{
+		cfg:             cfg,
+		poolDomains:     dnssim.IndexDomains(cfg.PoolDomains, strings.ToLower),
+		stockSignatures: cfg.OSINT.StockSignatures(),
+	}
 }
 
 // Input is one record plus optional raw content (needed only for fuzzy-hash
@@ -292,7 +298,7 @@ func (a *Aggregator) proxyEndpoint(rec *model.Record) (string, bool) {
 		return "", false
 	}
 	// Known pool domain -> not a proxy.
-	if a.matchesPoolDomain(host) {
+	if _, _, ok := a.poolDomains.Match(host); ok {
 		return "", false
 	}
 	// CNAME alias of a known pool -> not a proxy (it is an alias).
@@ -302,17 +308,6 @@ func (a *Aggregator) proxyEndpoint(rec *model.Record) (string, bool) {
 		}
 	}
 	return rec.URLPool, true
-}
-
-func (a *Aggregator) matchesPoolDomain(host string) bool {
-	host = strings.ToLower(host)
-	for dom := range a.cfg.PoolDomains {
-		dom = strings.ToLower(dom)
-		if host == dom || strings.HasSuffix(host, "."+dom) {
-			return true
-		}
-	}
-	return false
 }
 
 // hostingKeyFunc returns the function that maps an in-the-wild URL to a
@@ -518,11 +513,8 @@ func (a *Aggregator) poolNameOf(rec *model.Record) string {
 	if host == "" {
 		return ""
 	}
-	for dom, name := range a.cfg.PoolDomains {
-		dom = strings.ToLower(dom)
-		if host == dom || strings.HasSuffix(host, "."+dom) {
-			return name
-		}
+	if _, name, ok := a.poolDomains.Match(host); ok {
+		return name
 	}
 	if a.cfg.AliasDetector != nil {
 		if f, ok := a.cfg.AliasDetector.Detect(host); ok {

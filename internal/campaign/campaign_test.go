@@ -381,3 +381,26 @@ func BenchmarkAggregate1000(b *testing.B) {
 		a.Aggregate(inputs)
 	}
 }
+
+// TestNestedPoolDomains: where one pool domain nests inside another, a host
+// under both mines at the deeper one's pool, every time, and is no proxy.
+func TestNestedPoolDomains(t *testing.T) {
+	cfg := DefaultConfig(osint.NewDefaultStore(), nil, map[string]string{
+		"pool.example": "outer", "EU.pool.example": "inner",
+	})
+	a := New(cfg)
+	for endpoint, want := range map[string]string{
+		"x.eu.pool.example:3333": "inner",
+		"eu.pool.example:3333":   "inner",
+		"x.pool.example:3333":    "outer",
+		"xpool.example:3333":     "",
+	} {
+		rec := minerRecord("s", "4WALLET", endpoint, model.Date(2018, 1, 1))
+		if got := a.poolNameOf(&rec); got != want {
+			t.Errorf("poolNameOf(%s) = %q, want %q", endpoint, got, want)
+		}
+		if _, proxy := a.proxyEndpoint(&rec); proxy != (want == "") {
+			t.Errorf("proxyEndpoint(%s) says proxy %v", endpoint, proxy)
+		}
+	}
+}

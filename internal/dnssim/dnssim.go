@@ -13,6 +13,8 @@ package dnssim
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -214,35 +216,61 @@ type AliasFinding struct {
 	Historical bool
 }
 
+// DomainIndex maps known domains to a value, such as the pool each pool
+// domain belongs to, and finds the one a host is under.
+type DomainIndex map[string]string
+
+// IndexDomains keys each domain's value by key(domain). Where two domains
+// share a key, the lexically smaller domain's value is kept.
+func IndexDomains(domains map[string]string, key func(string) string) DomainIndex {
+	ix := make(DomainIndex, len(domains))
+	for _, d := range slices.Sorted(maps.Keys(domains)) {
+		if _, dup := ix[key(d)]; !dup {
+			ix[key(d)] = domains[d]
+		}
+	}
+	return ix
+}
+
+// Match returns the longest indexed domain that host equals or is a
+// subdomain of, and its value; host must be in the index's key form. It tries
+// host and then the suffix after each of its dots, longest first: one map
+// probe per label whatever the number of domains, and where indexed domains
+// nest (pool.example and eu.pool.example) the deeper one, whatever the map's
+// order.
+func (ix DomainIndex) Match(host string) (domain, value string, ok bool) {
+	for {
+		if v, ok := ix[host]; ok {
+			return host, v, true
+		}
+		dot := strings.IndexByte(host, '.')
+		if dot < 0 {
+			return "", "", false
+		}
+		host = host[dot+1:]
+	}
+}
+
 // AliasDetector unmasks domain aliases of known mining pools, combining live
 // resolution and passive-DNS history exactly like the pipeline does.
 type AliasDetector struct {
 	resolver *Resolver
 	zone     *Zone
-	// poolByDomain maps a pool domain suffix (e.g. "minexmr.com") to the
+	// poolByDomain maps a normalized pool domain (e.g. "minexmr.com") to the
 	// normalized pool name (e.g. "minexmr").
-	poolByDomain map[string]string
+	poolByDomain DomainIndex
 }
 
 // NewAliasDetector builds a detector for the given zone and pool-domain map.
 func NewAliasDetector(zone *Zone, poolByDomain map[string]string) *AliasDetector {
-	norm := make(map[string]string, len(poolByDomain))
-	for d, p := range poolByDomain {
-		norm[normalize(d)] = p
-	}
-	return &AliasDetector{resolver: NewResolver(zone), zone: zone, poolByDomain: norm}
+	return &AliasDetector{resolver: NewResolver(zone), zone: zone, poolByDomain: IndexDomains(poolByDomain, normalize)}
 }
 
 // matchPool returns the pool name when name is (a subdomain of) a known pool
-// domain.
+// domain, and the longest such domain.
 func (d *AliasDetector) matchPool(name string) (pool, domain string, ok bool) {
-	name = normalize(name)
-	for dom, p := range d.poolByDomain {
-		if name == dom || strings.HasSuffix(name, "."+dom) {
-			return p, dom, true
-		}
-	}
-	return "", "", false
+	domain, pool, ok = d.poolByDomain.Match(normalize(name))
+	return pool, domain, ok
 }
 
 // Detect checks whether the domain is a CNAME alias for a known pool, first

@@ -2,6 +2,7 @@ package dnssim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -173,6 +174,47 @@ func TestAliasDetectorPoolDomainNotAlias(t *testing.T) {
 	}
 	if _, ok := d.Detect("pool.minexmr.com"); ok {
 		t.Error("a pool's own domain must not be reported as an alias")
+	}
+}
+
+// TestAliasDetectorNestedPoolDomains: where one pool domain nests inside
+// another, an alias of a host under both is attributed to the deeper one,
+// every time.
+func TestAliasDetectorNestedPoolDomains(t *testing.T) {
+	z := NewZone()
+	z.AddCNAME("alias.example.net", "x.eu.pool.example", time.Time{})
+	z.AddA("x.eu.pool.example", "10.0.0.1", time.Time{})
+	domains := map[string]string{"pool.example": "outer", "eu.pool.example": "inner", "Other.Example.": "other"}
+	d := NewAliasDetector(z, domains)
+	f, ok := d.Detect("alias.example.net")
+	if !ok || f.Pool != "inner" || f.PoolDomain != "eu.pool.example" {
+		t.Errorf("Detect(alias of x.eu.pool.example) = %+v, %v; want pool inner at eu.pool.example", f, ok)
+	}
+	if pool, dom, ok := d.matchPool("a.b.Other.example."); !ok || pool != "other" || dom != "other.example" {
+		t.Errorf("matchPool of a subdomain of a non-normalized pool domain = %q, %q, %v", pool, dom, ok)
+	}
+}
+
+func TestDomainIndexMatch(t *testing.T) {
+	ix := IndexDomains(map[string]string{
+		"pool.example": "outer", "eu.pool.example": "inner",
+		"A.example": "upper", "a.example": "lower",
+	}, strings.ToLower)
+	for host, want := range map[string]string{
+		"pool.example":        "outer",
+		"x.pool.example":      "outer",
+		"eu.pool.example":     "inner",
+		"x.y.eu.pool.example": "inner",
+		"xeu.pool.example":    "outer",
+		"mypool.example":      "",
+		"example":             "",
+		"":                    "",
+		"a.example":           "upper", // "A.example" sorts first
+	} {
+		_, got, ok := ix.Match(host)
+		if got != want || ok != (want != "") {
+			t.Errorf("Match(%q) = %q, %v; want %q", host, got, ok, want)
+		}
 	}
 }
 

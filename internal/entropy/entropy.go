@@ -33,3 +33,22 @@ func Shannon(data []byte) float64 {
 	}
 	return h
 }
+
+// FromCounts returns the Shannon entropy of n bytes in which byte value b
+// occurs counts[b] times: what Shannon returns for those bytes, bit for bit,
+// for a caller that counted them in a pass of its own.
+func FromCounts(counts *[256]int, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	total := float64(n)
+	var h float64
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / total
+		h -= p * math.Log2(p)
+	}
+	return h
+}

@@ -89,6 +89,27 @@ func TestShannonPermutationInvariantProperty(t *testing.T) {
 	}
 }
 
+// TestFromCountsIsShannon: over bodies of every shape the histogram form
+// returns Shannon's float, bit for bit.
+func TestFromCountsIsShannon(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	bodies := [][]byte{nil, {0}, bytes.Repeat([]byte{7}, 100), []byte("plain text, mostly lower case")}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(4096))
+		rng.Read(b[:rng.Intn(len(b)+1)])
+		bodies = append(bodies, b)
+	}
+	for _, b := range bodies {
+		var counts [256]int
+		for _, c := range b {
+			counts[c]++
+		}
+		if got, want := FromCounts(&counts, len(b)), Shannon(b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FromCounts over %d bytes = %v, Shannon = %v", len(b), got, want)
+		}
+	}
+}
+
 func BenchmarkShannon1MB(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, 1<<20)

@@ -73,7 +73,6 @@ func Extract(in Inputs) model.Record {
 
 	// Static analysis contributions.
 	if in.Static != nil {
-		rec.SHA256 = pickNonEmpty(rec.SHA256, in.Static.SHA256)
 		rec.Format = in.Static.Format
 		rec.Entropy = in.Static.Entropy
 		rec.Packer = in.Static.Packer
@@ -200,11 +199,4 @@ func atoiSafe(s string) int {
 		}
 	}
 	return n
-}
-
-func pickNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

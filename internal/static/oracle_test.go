@@ -1,11 +1,14 @@
 package static
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"cryptomining/internal/binfmt"
@@ -13,6 +16,7 @@ import (
 	"cryptomining/internal/entropy"
 	"cryptomining/internal/sandbox"
 	"cryptomining/internal/wallet"
+	"cryptomining/internal/yara"
 )
 
 // The regular expressions ExtractEndpoints and extractURLs were written as,
@@ -71,24 +75,26 @@ func oracleExtractURLs(text string) []string {
 	return out
 }
 
-// oracleAnalyze is Analyze as it was: the strings materialised and joined,
-// then read by the regexes. The identifiers come from wallet.ExtractCandidates
-// over that joined text, which internal/wallet's corpus test holds equal to
-// its own regexes on the same bodies.
+// oracleAnalyze is Analyze as it was, one pass per finding: the strings
+// materialised and joined, then read by the regexes; entropy.Shannon; the
+// miner rules matched on their own; the packer signatures searched for one by
+// one. The identifiers come from wallet.ExtractCandidates over that joined
+// text, which internal/wallet's corpus test holds equal to its own regexes on
+// the same bodies.
 func (a *Analyzer) oracleAnalyze(content []byte) Result {
 	res := Result{Format: binfmt.DetectFormat(content), Entropy: entropy.Shannon(content)}
-	res.SHA256, res.MD5 = binfmt.Hashes(content)
 	strs := binfmt.ExtractStrings(content, a.MinStringLength)
 	text := strings.Join(strs, "\n")
 	res.StringCount = len(strs)
 	res.Identifiers = wallet.ExtractCandidates(text)
 	res.PoolEndpoints = oracleExtractEndpoints(text)
 	res.URLs = oracleExtractURLs(text)
-	for _, m := range a.rules.Match(content) {
+	for _, m := range yara.MinerRules().Match(content) {
 		res.YARAMatches = append(res.YARAMatches, m.Rule)
 	}
-	res.Packer = a.scanner.DetectPacker(content)
-	res.Compression = a.scanner.DetectCompression(content)
+	scanner := binfmt.NewScanner()
+	res.Packer = scanner.DetectPacker(content)
+	res.Compression = scanner.DetectCompression(content)
 	res.Obfuscated = res.Packer != "" || (res.Compression == "" && res.Entropy > entropy.ObfuscationThreshold)
 	return res
 }
@@ -194,8 +200,9 @@ func TestScannersDifferentialGenerated(t *testing.T) {
 
 // benchCorpora returns the bodies of the benchmark's two corpora (cmd/bench:
 // the first 4 000 streamed samples and the materialised universe at a tenth
-// of its scale, both from ecosystem seed 2019).
-func benchCorpora() [][]byte {
+// of its scale, both from ecosystem seed 2019), generated once per test
+// binary. Callers must not modify them.
+var benchCorpora = sync.OnceValue(func() [][]byte {
 	var bodies [][]byte
 	gen := ecosim.NewStream(ecosim.StreamConfig{Seed: 2019})
 	for i := 0; i < 4000; i++ {
@@ -210,30 +217,96 @@ func benchCorpora() [][]byte {
 		}
 	}
 	return bodies
-}
+})
 
 // TestCorpusDifferential: over every body of both bench corpora, Analyze
-// returns what it returned when it materialised the strings and read them
-// with the regexes, and the scanners agree with the regexes on the command
-// lines the sandbox hands to extract.Extract.
+// returns what it returned when it read the body once per finding and the
+// strings with the regexes, and the scanners agree with the regexes on the
+// command lines the sandbox hands to extract.Extract. The corpora must
+// exercise every finding: a packer, a compression container and a YARA match
+// among them. The generator packs but never compresses, so every 50th body is
+// also compared as a CAB (its marker appended) and as an ARJ (its two-byte
+// magic prepended).
 func TestCorpusDifferential(t *testing.T) {
 	a, box := New(), sandbox.New(nil)
-	var endpoints, urls, ids int
-	for _, body := range benchCorpora() {
+	var endpoints, urls, ids, packers, compressed, yaras int
+	var bodies [][]byte
+	for i, body := range benchCorpora() {
+		bodies = append(bodies, body)
+		if i%50 == 0 {
+			bodies = append(bodies, append(slices.Clip(body), "MSCF"...), append([]byte{0x60, 0xEA}, body...))
+		}
+	}
+	for _, body := range bodies {
+		sha, _ := binfmt.Hashes(body)
 		got, want := a.Analyze(body), a.oracleAnalyze(body)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Analyze of body %s\n got  %+v\n want %+v", want.SHA256, got, want)
+			t.Fatalf("Analyze of body %s\n got  %+v\n want %+v", sha, got, want)
 		}
 		endpoints, urls, ids = endpoints+len(got.PoolEndpoints), urls+len(got.URLs), ids+len(got.Identifiers)
-		for _, cl := range box.Run(got.SHA256, body).CommandLines() {
+		if got.Packer != "" {
+			packers++
+		}
+		if got.Compression != "" {
+			compressed++
+		}
+		if len(got.YARAMatches) > 0 {
+			yaras++
+		}
+		for _, cl := range box.Run(sha, body).CommandLines() {
 			checkEndpoints(t, cl)
 			checkURLs(t, cl)
 		}
 	}
-	if endpoints == 0 || urls == 0 || ids == 0 {
-		t.Fatalf("corpora yielded %d endpoints, %d URLs, %d identifiers: nothing compared", endpoints, urls, ids)
+	if endpoints == 0 || urls == 0 || ids == 0 || packers == 0 || compressed == 0 || yaras == 0 {
+		t.Fatalf("corpora yielded %d endpoints, %d URLs, %d identifiers, %d packed, %d compressed, %d YARA-matched bodies: a finding went uncompared",
+			endpoints, urls, ids, packers, compressed, yaras)
 	}
-	t.Logf("agreed on %d endpoints, %d URLs, %d identifiers", endpoints, urls, ids)
+	t.Logf("agreed on %d endpoints, %d URLs, %d identifiers, %d packed, %d compressed, %d YARA-matched bodies",
+		endpoints, urls, ids, packers, compressed, yaras)
+}
+
+// TestAnalyzeConcurrent: analyzers sharing the compiled rules and the pool
+// of text buffers, on four goroutines at once, return what the oracle
+// returns for every body, checked after all of them finished: no result
+// keeps a reference into a buffer another call reused. The bodies are the
+// last 400, which hold every body of the materialised universe.
+func TestAnalyzeConcurrent(t *testing.T) {
+	all := benchCorpora()
+	bodies := all[len(all)-400:]
+	a := New()
+	got := make([]Result, len(bodies))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := New()
+			for i := w; i < len(bodies); i += 4 {
+				got[i] = b.Analyze(bodies[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if want := a.oracleAnalyze(body); !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("Analyze of body %d on a shared pool\n got  %+v\n want %+v", i, got[i], want)
+		}
+	}
+}
+
+// TestAnalyzeBodyPastPooledSize: a body larger than the largest pooled
+// buffer, almost all of it strings, grows its text in the loop and still
+// agrees with the oracle, as does the small body analyzed after it.
+func TestAnalyzeBodyPastPooledSize(t *testing.T) {
+	a := New()
+	line := []byte("stratum+tcp://pool.minexmr.com:4444 -o xmr.example.com:3333 \x00")
+	big := bytes.Repeat(line, maxPooledText/len(line)+100)
+	for _, body := range [][]byte{big, line} {
+		if got, want := a.Analyze(body), a.oracleAnalyze(body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Analyze of a %d-byte body\n got  %+v\n want %+v", len(body), got, want)
+		}
+	}
 }
 
 // The fuzz targets: on arbitrary bytes each scanner returns what its regexes
@@ -246,6 +319,36 @@ func FuzzEndpointsDifferential(f *testing.F) {
 func FuzzURLsDifferential(f *testing.F) {
 	seedScanFuzz(f, urlQuirks)
 	f.Fuzz(func(t *testing.T, text []byte) { checkURLs(t, string(text)) })
+}
+
+// FuzzAnalyzeDifferential: on arbitrary bodies the one-pass Analyze returns
+// what oracleAnalyze's pass per finding returns. The seeds put every packer
+// marker at the start, at the very end and cut off by the end; two markers in
+// the opposite of their signature order; the CAB and ARJ magics; and
+// printable runs one byte short of MinStringLength and exactly that long.
+func FuzzAnalyzeDifferential(f *testing.F) {
+	a := New()
+	filler := []byte("\x00\x01stratum+tcp://pool.minexmr.com:4444\xff")
+	for _, sig := range binfmt.DefaultPackerSignatures() {
+		m := sig.Marker
+		f.Add(slices.Concat(m, filler))
+		f.Add(slices.Concat(filler, m))
+		f.Add(slices.Concat(filler, m[:len(m)-1]))
+	}
+	f.Add([]byte("\x00Inno Setup\x00UPX!\x00"))
+	f.Add([]byte("MSCF\x00\x60\xEA"))
+	f.Add([]byte{0x60, 0xEA, 'M', 'S', 'C', 'F'})
+	short := strings.Repeat("x", a.MinStringLength-1)
+	exact := strings.Repeat("y", a.MinStringLength)
+	f.Add([]byte(short))
+	f.Add([]byte(exact))
+	f.Add([]byte("\x00" + short + "\x00" + exact + "\x00" + short))
+	f.Add([]byte(exact + "\n" + short + "\n" + exact))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if got, want := a.Analyze(body), a.oracleAnalyze(body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Analyze(%q)\n got  %+v\n want %+v", body, got, want)
+		}
+	})
 }
 
 // seedScanFuzz seeds a fuzz target with its quirk table, generated near-misses

@@ -1,6 +1,7 @@
 package static
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,9 +48,6 @@ func TestAnalyzeCleartextMiner(t *testing.T) {
 	}
 	if res.Obfuscated {
 		t.Error("cleartext miner should not be flagged obfuscated")
-	}
-	if res.SHA256 == "" || res.MD5 == "" {
-		t.Error("hashes should be populated")
 	}
 }
 
@@ -139,6 +137,50 @@ func TestAnalyzeELFAndEmailIdentifier(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("dwarfpool endpoint not extracted: %v", res.PoolEndpoints)
+	}
+}
+
+// TestMarkersFollowScanner: markers a quoted YARA string cannot hold become
+// hex strings, every marker is case-sensitive, and the packer and the
+// compression container Analyze names are the ones binfmt.Scanner names
+// first, in signature order, with markers shorter than
+// binfmt.MinAnywhereMarker matched only at the start.
+func TestMarkersFollowScanner(t *testing.T) {
+	sigs := append(binfmt.DefaultPackerSignatures(),
+		binfmt.PackerSignature{Name: "Binary", Marker: []byte{0x00, 'M', 'Z', 0x90, 0xff}},
+		binfmt.PackerSignature{Name: "Quoted", Marker: []byte(`say "hi" \ bye`)},
+		binfmt.PackerSignature{Name: "GZ", Marker: []byte{0x1f, 0x8b}, Compression: true},
+	)
+	a, scanner := newAnalyzer(sigs), binfmt.NewScanner(sigs...)
+	var bodies [][]byte
+	for _, sig := range sigs {
+		m := sig.Marker
+		bodies = append(bodies, m,
+			append([]byte("lead "), m...),
+			append([]byte("lead "), bytes.ToLower(m)...),
+			append([]byte("lead "), bytes.ToUpper(m)...),
+			append(append([]byte("Inno Setup "), m...), "UPX!"...))
+	}
+	hex := 0
+	for _, r := range a.rules.Rules[a.miner:] {
+		if r.Strings[0].IsHex {
+			hex++
+		}
+		if r.Strings[0].NoCase {
+			t.Errorf("marker rule %s is nocase", r.Name)
+		}
+	}
+	if hex != 2 {
+		t.Errorf("%d hex marker rules, want 2 (Binary and Quoted)", hex)
+	}
+	for _, body := range bodies {
+		res := a.Analyze(body)
+		if want := scanner.DetectPacker(body); res.Packer != want {
+			t.Errorf("Analyze(%q).Packer = %q, Scanner says %q", body, res.Packer, want)
+		}
+		if want := scanner.DetectCompression(body); res.Compression != want {
+			t.Errorf("Analyze(%q).Compression = %q, Scanner says %q", body, res.Compression, want)
+		}
 	}
 }
 

@@ -195,25 +195,60 @@ func compile(rules []Rule) *matcher {
 // definitions that occur in it, as a bitset indexed by definition. buf is
 // used for the set when it is large enough.
 func (m *matcher) scan(content []byte, buf []uint64) []uint64 {
-	words := (len(m.names) + 63) / 64
-	hits := buf
-	if words > len(buf) {
-		hits = make([]uint64, words)
-	}
-	trans, class, outMin := m.trans, &m.class, m.outMin
+	hits := m.hits(buf)
+	a := m.automaton()
 	s := uint32(0)
 	for i, b := range content {
-		s = trans[s+uint32(class[b])]
-		if s >= outMin {
-			m.record(hits, s, content[:i+1])
+		s = a.Step(s, b)
+		if a.Ends(s) {
+			a.Record(hits, s, content[:i+1])
 		}
 	}
 	return hits
 }
 
-// record marks the definitions ending at output state s, the automaton
+// hits returns an empty hit set, in buf when it is large enough.
+func (m *matcher) hits(buf []uint64) []uint64 {
+	words := (len(m.names) + 63) / 64
+	if words > len(buf) {
+		return make([]uint64, words)
+	}
+	clear(buf[:words])
+	return buf[:words]
+}
+
+func (m *matcher) automaton() Automaton { return Automaton{m: m, trans: m.trans} }
+
+// Automaton is a RuleSet's compiled DFA, for a caller that runs the scan
+// inside a loop of its own over a body, as static analysis does to read each
+// body once. From state 0, each byte steps the state; where Ends reports that
+// definitions end, Record marks them in the hit set, given every byte
+// consumed so far:
+//
+//	for i, b := range body {
+//		s = a.Step(s, b)
+//		if a.Ends(s) {
+//			a.Record(hits, s, body[:i+1])
+//		}
+//	}
+//
+// It is a value of four words whose Step and Ends inline, so such a loop
+// keeps it in registers. Match runs exactly this loop.
+type Automaton struct {
+	m     *matcher
+	trans []uint32 // m.trans
+}
+
+// Step returns the state after consuming b in state s.
+func (a Automaton) Step(s uint32, b byte) uint32 { return a.trans[s+uint32(a.m.class[b])] }
+
+// Ends reports whether some definition ends at state s.
+func (a Automaton) Ends(s uint32) bool { return s >= a.m.outMin }
+
+// Record marks in hits the definitions ending at state s, the automaton
 // having just consumed all of seen.
-func (m *matcher) record(hits []uint64, s uint32, seen []byte) {
+func (a Automaton) Record(hits []uint64, s uint32, seen []byte) {
+	m := a.m
 	k := (s - m.outMin) / m.stride
 	for _, d := range m.outDefs[m.outStart[k]:m.outStart[k+1]] {
 		if has(hits, int(d)) {

@@ -425,6 +425,21 @@ func (rs *RuleSet) Match(content []byte) []MatchResult {
 	return out
 }
 
+// Automaton returns the DFA Match scans with, for a caller that fuses the
+// scan into a loop of its own (see Automaton).
+func (rs *RuleSet) Automaton() Automaton { return rs.m.automaton() }
+
+// NewHits returns an empty hit set for one Automaton scan, in buf when buf is
+// large enough (one word per 64 definitions).
+func (rs *RuleSet) NewHits(buf []uint64) []uint64 { return rs.m.hits(buf) }
+
+// RuleMatches reports whether Rules[i]'s condition holds over the hit set of
+// one Automaton scan.
+func (rs *RuleSet) RuleMatches(i int, hits []uint64) bool {
+	ok, _ := rs.m.rules[i].eval(hits)
+	return ok
+}
+
 // AnyMatch reports whether at least one rule in the set matches content.
 // Only tests call it, as the short-circuit oracle for Match.
 func (rs *RuleSet) AnyMatch(content []byte) bool {
