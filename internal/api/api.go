@@ -46,13 +46,13 @@
 // submission is bounded by requestTimeout (503 backpressure on expiry).
 //
 // The read tier serves exclusively from the engine's published snapshot
-// (stream.View): no GET acquires the collector mutex, the snapshot epoch is
-// the strong ETag (If-None-Match revalidation answers 304), campaign pages
-// paginate by opaque cursor (?cursor=; a raw ?offset= answers 400), and an
-// optional per-client token bucket throttles reads (429 + Retry-After). The
-// final results are part of that snapshot: the engine seals a run once and
-// publishes the seal as View.Results, so the server holds no results of its
-// own.
+// (stream.View) through the Engine interface, whose methods never take the
+// collector mutex. The snapshot epoch is the strong ETag (If-None-Match
+// revalidation answers 304), campaign pages paginate by opaque cursor
+// (?cursor=; a raw ?offset= answers 400), and an optional per-client token
+// bucket throttles reads (429 + Retry-After). The final results are part of
+// that snapshot: the engine seals a run once and publishes the seal as
+// View.Results, so the server holds no results of its own.
 package api
 
 import (
@@ -77,13 +77,31 @@ const (
 	retryAfter = time.Second
 )
 
+// Engine is the read tier's whole view of the streaming engine; a
+// *stream.Engine satisfies it. The rule it carries: no method may take
+// stream.Engine's collector mutex (Engine.mu) or wait on the collector, so a
+// GET never stalls behind ingestion (a long batch, a checkpoint) and never
+// delays it. A method that does either cannot join this set; a handler that
+// needs one does not compile. TestReadsDoNotBlockOnCollectorMutex in
+// internal/stream pins the rule: it calls every method, on every branch,
+// with the collector mutex held.
+type Engine interface {
+	Stats() stream.Stats
+	CurrentView() *stream.View
+	Subscribe(buf int) (<-chan stream.Event, func())
+	Timeseries(q stream.TimeseriesQuery) (stream.TimeseriesSnapshot, error)
+	CampaignTimeline(id int, q stream.TimeseriesQuery) (stream.TimeseriesSnapshot, bool, error)
+}
+
 // Config wires a Server to the engine and the daemon's optional durability
 // hooks.
 type Config struct {
-	// Engine serves the live surface (stats, campaigns, events).
-	Engine *stream.Engine
-	// Submit ingests one sample; defaults to Engine.Submit. Daemons running
-	// with a WAL pass their write-ahead submit here.
+	// Engine serves the live surface (stats, campaigns, timeseries, events,
+	// results).
+	Engine Engine
+	// Submit ingests one sample (POST /api/v1/samples): Engine.Submit, or a
+	// daemon's write-ahead submit when it runs with a WAL. Nil answers 409
+	// ingest_closed.
 	Submit func(context.Context, *model.Sample) error
 	// Checkpoint persists a snapshot now; nil means persistence is disabled
 	// and POST /checkpoint answers 409.
@@ -134,9 +152,6 @@ type Server struct {
 
 // New builds a Server from the configuration, applying defaults.
 func New(cfg Config) *Server {
-	if cfg.Submit == nil && cfg.Engine != nil {
-		cfg.Submit = cfg.Engine.Submit
-	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 1024
 	}

@@ -40,7 +40,7 @@ func newTestDaemon(t *testing.T, cfg api.Config) *testDaemon {
 	d.eng = stream.New(scfg)
 	d.eng.Start(context.Background())
 
-	cfg.Engine = d.eng
+	cfg.Engine, cfg.Submit = d.eng, d.eng.Submit
 	d.ts = httptest.NewServer(api.New(cfg).Handler())
 	t.Cleanup(d.ts.Close)
 	return d

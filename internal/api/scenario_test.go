@@ -30,7 +30,7 @@ func newScenarioDaemon(t *testing.T) *testDaemon {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	d.ts = httptest.NewServer(api.New(api.Config{Engine: d.eng, Scenarios: mgr}).Handler())
+	d.ts = httptest.NewServer(api.New(api.Config{Engine: d.eng, Submit: d.eng.Submit, Scenarios: mgr}).Handler())
 	t.Cleanup(d.ts.Close)
 
 	d.ingestAll(t)

@@ -225,6 +225,7 @@ func TestReadsServeWhileCollectorLocked(t *testing.T) {
 		"/api/v1/timeseries",
 		"/api/v1/campaigns/1/timeline",
 		"/api/v1/campaigns?limit=3",
+		"/api/v1/results",
 	} {
 		resp, err := cl.Get(d.ts.URL + path)
 		if err != nil {

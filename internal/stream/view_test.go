@@ -25,6 +25,7 @@ import (
 	"cryptomining/internal/probe"
 	"cryptomining/internal/profit"
 	"cryptomining/internal/stream"
+	"cryptomining/internal/timeseries"
 )
 
 // TestViewCoversQuiescedEngine pins the snapshot ordering guarantee: once
@@ -144,9 +145,9 @@ func TestViewReadsDuringIngest(t *testing.T) {
 	}
 }
 
-// TestReadsDoNotBlockOnCollectorMutex pins the zero-mutex guarantee at the
-// engine level: with the collector mutex held, every read-tier method
-// returns promptly.
+// TestReadsDoNotBlockOnCollectorMutex pins the read tier's rule at the
+// engine level: with the collector mutex held, every method of api.Engine
+// returns promptly on every branch (api.Engine's doc names this test).
 func TestReadsDoNotBlockOnCollectorMutex(t *testing.T) {
 	u := ecosim.Generate(ecosim.SmallConfig().Scale(0.2))
 	eng := stream.New(core.NewFromUniverse(u).StreamConfig())
@@ -163,18 +164,45 @@ func TestReadsDoNotBlockOnCollectorMutex(t *testing.T) {
 	release := eng.HoldCollectorLock()
 	defer release()
 
-	done := make(chan struct{})
+	var reads api.Engine = eng
+	errs := make(chan error, 1)
 	go func() {
-		defer close(done)
-		eng.Stats()
-		if v := eng.CurrentView(); len(v.Campaigns) > 0 {
-			v.Detail(v.Campaigns[0].ID)
-			eng.CampaignTimeline(v.Campaigns[0].ID, stream.TimeseriesQuery{})
-		}
-		eng.Timeseries(stream.TimeseriesQuery{})
+		errs <- func() error {
+			reads.Stats()
+			_, cancel := reads.Subscribe(1)
+			cancel()
+			v := reads.CurrentView()
+			if v.Results != nil || len(v.Campaigns) == 0 {
+				return fmt.Errorf("unsealed view: results %v, %d campaigns; want nil and some", v.Results, len(v.Campaigns))
+			}
+			id := v.Campaigns[0].ID
+			v.Detail(id)
+			for _, q := range []stream.TimeseriesQuery{{}, {Metric: timeseries.SeriesSamples}} {
+				if _, err := reads.Timeseries(q); err != nil {
+					return fmt.Errorf("Timeseries(%+v): %v", q, err)
+				}
+			}
+			for _, c := range []struct {
+				id     int
+				q      stream.TimeseriesQuery
+				listed bool
+			}{
+				{id, stream.TimeseriesQuery{}, true},
+				{id, stream.TimeseriesQuery{Metric: timeseries.TimelineSamples}, true},
+				{len(v.Details) + 1, stream.TimeseriesQuery{}, false},
+			} {
+				if _, ok, err := reads.CampaignTimeline(c.id, c.q); ok != c.listed || err != nil {
+					return fmt.Errorf("CampaignTimeline(%d, %+v) = %t, %v; want %t", c.id, c.q, ok, err, c.listed)
+				}
+			}
+			return nil
+		}()
 	}()
 	select {
-	case <-done:
+	case err := <-errs:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("read-tier methods blocked on the held collector mutex")
 	}

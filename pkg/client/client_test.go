@@ -56,7 +56,7 @@ func newDaemonWithEngine(t *testing.T, eng *stream.Engine, mutate func(*api.Conf
 	u, _ := testUniverse()
 	d := &daemon{u: u, eng: eng}
 	d.eng.Start(context.Background())
-	cfg := api.Config{Engine: d.eng}
+	cfg := api.Config{Engine: d.eng, Submit: d.eng.Submit}
 	if mutate != nil {
 		mutate(&cfg)
 	}

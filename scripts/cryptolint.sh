@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cryptolint.sh — run the repo's invariant analyzers over the main module.
+# cryptolint.sh — run the repo's guardedby analyzer over the main module.
 #
 # cryptolint lives in its own zero-dependency module under tools/analyzers/
 # (so the main module stays stdlib-only) and analyzes the repository it is
@@ -8,8 +8,7 @@
 #
 #   scripts/cryptolint.sh              # analyze ./... of the main module
 #   scripts/cryptolint.sh ./internal/api/
-#   scripts/cryptolint.sh -list        # show the four passes
-#   scripts/cryptolint.sh -wirecompat.write ./pkg/apiv1/   # regenerate the wire lock
+#   scripts/cryptolint.sh -list        # show the one pass, guardedby
 #
 # Exit status: 0 clean, 1 findings, 2 load/usage error (same as the binary).
 set -euo pipefail

@@ -15,7 +15,6 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -30,9 +29,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the help text: first line is the one-sentence summary.
 	Doc string
-	// Flags holds pass-specific configuration. The multichecker exposes each
-	// flag as -<analyzer>.<flag>.
-	Flags flag.FlagSet
 	// Run executes the pass over one package. Diagnostics go through
 	// pass.Report; the result value is unused by this shim (kept for API
 	// compatibility).

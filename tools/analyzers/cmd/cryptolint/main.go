@@ -1,6 +1,7 @@
-// Command cryptolint is the repository's invariant multichecker: it runs
-// every cryptolint analysis pass over the packages matching the given
-// patterns and exits non-zero when any invariant is violated.
+// Command cryptolint is the repository's invariant checker: it runs the
+// guardedby pass (annotated struct fields may only be accessed with their
+// declared mutex held) over the packages matching the given patterns and
+// exits non-zero when any annotation is violated.
 //
 // Usage (from the repository root):
 //
@@ -8,9 +9,13 @@
 //
 // or via the wrapper: scripts/cryptolint.sh [patterns...]
 //
-// The one pass setting, -wirecompat.write, regenerates the wire schema
-// lock; -list prints the registered analyzers. Exit codes: 0 clean, 1
-// findings, 2 usage or load failure (e.g. the tree does not type-check).
+// -list prints the registered analyzers. Exit codes: 0 clean, 1 findings,
+// 2 usage or load failure (e.g. the tree does not type-check).
+//
+// The repository's other mechanical invariants live beside the code they
+// guard: the wire lock is TestWireLock in pkg/apiv1, the clock seam is
+// TestClockSeam in the main module's root package, and the read tier's
+// mutex-free rule is the api.Engine interface.
 package main
 
 import (
@@ -22,29 +27,13 @@ import (
 
 	"cryptomining/tools/analyzers/analysis"
 	"cryptomining/tools/analyzers/load"
-	"cryptomining/tools/analyzers/passes/directclock"
 	"cryptomining/tools/analyzers/passes/guardedby"
-	"cryptomining/tools/analyzers/passes/lockorder"
-	"cryptomining/tools/analyzers/passes/wirecompat"
 )
 
-var analyzers = sortedAnalyzers(
-	directclock.Analyzer,
-	guardedby.Analyzer,
-	lockorder.Analyzer,
-	wirecompat.Analyzer,
-)
+var analyzers = []*analysis.Analyzer{guardedby.Analyzer}
 
-// sortedAnalyzers orders the roster by name so -list output, flag listings
-// and per-package run order are all deterministic regardless of registration
-// order.
-func sortedAnalyzers(as ...*analysis.Analyzer) []*analysis.Analyzer {
-	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
-	return as
-}
-
-// listString renders the -list output: one line per analyzer, sorted by
-// name. The golden test and the CI roster assertion consume it.
+// listString renders the -list output: one line per analyzer. The golden
+// test consumes it.
 func listString() string {
 	var b strings.Builder
 	for _, a := range analyzers {
@@ -64,12 +53,6 @@ func run() int {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: cryptolint [flags] [package patterns]\n\n")
 		fs.PrintDefaults()
-	}
-	for _, a := range analyzers {
-		prefix := a.Name + "."
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, prefix+f.Name, f.Usage)
-		})
 	}
 	_ = fs.Parse(os.Args[1:])
 

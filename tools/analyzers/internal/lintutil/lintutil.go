@@ -1,10 +1,9 @@
-// Package lintutil holds the small pieces the cryptolint passes share:
-// suppression directives, callee resolution and package/type matching.
+// Package lintutil holds the small pieces the cryptolint pass builds on:
+// suppression directives, callee resolution and type matching.
 package lintutil
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -104,32 +103,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// FuncObject resolves any identifier or selector to the function object it
-// names (direct call targets and method/function values alike).
-func FuncObject(info *types.Info, expr ast.Expr) *types.Func {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// PkgMatches reports whether pkgPath contains any of the path fragments
-// (plain substring match, so "internal/stream" also matches the testdata
-// stand-in laid out under that path).
-func PkgMatches(pkgPath string, fragments ...string) bool {
-	for _, frag := range fragments {
-		if strings.Contains(pkgPath, frag) {
-			return true
-		}
-	}
-	return false
-}
-
 // NamedType unwraps pointers and aliases down to the named type, nil when the
 // type has no name.
 func NamedType(t types.Type) *types.Named {
@@ -155,27 +128,4 @@ func IsTypeIn(t types.Type, typeName, pkgFragment string) bool {
 		return false
 	}
 	return strings.Contains(named.Obj().Pkg().Path(), pkgFragment)
-}
-
-// MethodOn reports whether fn is a method whose receiver (through pointers)
-// is the named type typeName in a package whose path contains pkgFragment.
-func MethodOn(fn *types.Func, typeName, pkgFragment string) bool {
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return IsTypeIn(sig.Recv().Type(), typeName, pkgFragment)
-}
-
-// ConstString evaluates expr as a compile-time string constant ("", false
-// when it is not one). Works for literals and named constants alike.
-func ConstString(info *types.Info, expr ast.Expr) (string, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

@@ -87,15 +87,3 @@ func TestDirectives(t *testing.T) {
 		t.Fatalf("ReportMalformed emitted %d diagnostics, want 1", len(reported))
 	}
 }
-
-func TestPkgMatches(t *testing.T) {
-	if !PkgMatches("cryptomining/internal/stream", "internal/stream", "internal/api") {
-		t.Error("expected fragment match")
-	}
-	if PkgMatches("cryptomining/internal/obs", "internal/stream", "internal/api") {
-		t.Error("unexpected fragment match")
-	}
-	if PkgMatches("anything") {
-		t.Error("empty fragment list matches nothing")
-	}
-}
