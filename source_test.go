@@ -30,15 +30,89 @@ var clockFuncs = map[string]bool{
 	"NewTicker": true, "After": true, "AfterFunc": true, "Tick": true,
 }
 
-// allowPrefix starts an allow directive. A wall-clock read is allowed when
-// its line, or the line under the directive, carries
+// allowPrefix starts an allow directive. A finding of a check is allowed
+// when its line, or the line under the directive, carries
 //
-//	//cryptolint:allow directclock <reason>
+//	//cryptolint:allow <check>[,<check>...] <reason>
 //
-// The reason is mandatory: a suppression nobody can justify is one nobody
-// can review. The legitimate ones are the sites a seam defaults to the real
-// clock and pure telemetry that never feeds recorded state.
+// where each check is one of allowChecks. The reason is mandatory: a
+// suppression nobody can justify is one nobody can review. The legitimate
+// directclock ones are the sites a seam defaults to the real clock and pure
+// telemetry that never feeds recorded state.
 const allowPrefix = "cryptolint:allow"
+
+// allowChecks are the checks an allow directive may name.
+var allowChecks = map[string]bool{"directclock": true, "guardedby": true}
+
+// directive returns the rest of the line comment c after prefix, if c starts
+// with it.
+func directive(c *ast.Comment, prefix string) (string, bool) {
+	return strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), prefix)
+}
+
+// allowDirective is one check named by an allow directive; it covers the
+// directive's line and the line below.
+type allowDirective struct {
+	pos   token.Position
+	check string
+	used  bool
+}
+
+// allows is one file's allow directives.
+type allows []*allowDirective
+
+// parseAllows reads a file's allow directives. It returns a finding for each
+// one that gives no reason or names an unknown check; such a directive
+// suppresses nothing.
+func parseAllows(fset *token.FileSet, f *ast.File) (allows, []string) {
+	var out allows
+	var bad []string
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			rest, ok := directive(c, allowPrefix)
+			if !ok {
+				continue
+			}
+			pos := fset.Position(c.Pos())
+			names, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			if names == "" || strings.TrimSpace(reason) == "" {
+				bad = append(bad, fmt.Sprintf("%s: allow directive needs a reason: //%s <check> <reason>", pos, allowPrefix))
+				continue
+			}
+			for _, name := range strings.Split(names, ",") {
+				if name = strings.TrimSpace(name); !allowChecks[name] {
+					bad = append(bad, fmt.Sprintf("%s: allow directive names unknown check %q: want directclock or guardedby", pos, name))
+					continue
+				}
+				out = append(out, &allowDirective{pos: pos, check: name})
+			}
+		}
+	}
+	return out, bad
+}
+
+// allow reports whether a directive for check covers line, and marks every
+// such directive used.
+func (a allows) allow(check string, line int) bool {
+	ok := false
+	for _, d := range a {
+		if d.check == check && (line == d.pos.Line || line == d.pos.Line+1) {
+			d.used, ok = true, true
+		}
+	}
+	return ok
+}
+
+// stale returns a finding for each directive for check that allowed nothing.
+func (a allows) stale(check, why string) []string {
+	var out []string
+	for _, d := range a {
+		if d.check == check && !d.used {
+			out = append(out, fmt.Sprintf("%s: stale //%s %s: %s", d.pos, allowPrefix, check, why))
+		}
+	}
+	return out
+}
 
 // sourcePackage is the parsed non-test files of one package directory.
 type sourcePackage struct {
@@ -84,30 +158,13 @@ func parseSourcePackages(t *testing.T, fset *token.FileSet, roots ...string) []s
 
 // clockReads returns, as "file:line:col: message", every reference to a
 // time-package clock function in files that no directclock allow directive
-// covers, and every allow directive that gives no reason.
+// covers, every malformed allow directive, and every directclock directive
+// that covers no clock read.
 func clockReads(fset *token.FileSet, files []*ast.File) []string {
 	var out []string
 	for _, f := range files {
-		allowed := map[int]bool{}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				names, reason, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(text, allowPrefix)), " ")
-				if names == "" || strings.TrimSpace(reason) == "" {
-					out = append(out, fmt.Sprintf("%s: allow directive needs a reason: //%s <check> <reason>", fset.Position(c.Pos()), allowPrefix))
-					continue
-				}
-				for _, name := range strings.Split(names, ",") {
-					if strings.TrimSpace(name) == "directclock" {
-						line := fset.Position(c.End()).Line
-						allowed[line], allowed[line+1] = true, true
-					}
-				}
-			}
-		}
+		allowed, bad := parseAllows(fset, f)
+		out = append(out, bad...)
 		local := ""
 		for _, imp := range f.Imports {
 			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
@@ -121,40 +178,55 @@ func clockReads(fset *token.FileSet, files []*ast.File) []string {
 			out = append(out, fmt.Sprintf("%s: dot import of time hides its clock reads", fset.Position(f.Package)))
 			continue
 		}
-		if local == "" {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !clockFuncs[sel.Sel.Name] {
-				return true
+			if !ok || local == "" || !clockFuncs[sel.Sel.Name] {
+				return local != ""
 			}
 			// A resolved identifier (Obj set) is a local that shadows the
 			// import, e.g. a time.Time value whose After reads no clock.
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && x.Obj == nil {
-				if p := fset.Position(sel.Pos()); !allowed[p.Line] {
+				if p := fset.Position(sel.Pos()); !allowed.allow("directclock", p.Line) {
 					out = append(out, fmt.Sprintf("%s: direct %s.%s in a clock-seam package: thread the injected clock, or justify with //%s directclock <reason>",
 						p, local, sel.Sel.Name, allowPrefix))
 				}
 			}
 			return true
 		})
+		out = append(out, allowed.stale("directclock", "its line and the next read no clock")...)
 	}
 	return out
 }
 
 // TestClockSeam fails, naming file:line, on a wall-clock read in a package
-// with a clock seam that no allow directive justifies.
+// with a clock seam that no allow directive justifies, and on a malformed or
+// stale allow directive in any package under internal/, pkg/ or cmd/. A
+// directclock directive outside the clock-seam packages is stale: the check
+// does not run there.
 func TestClockSeam(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs := parseSourcePackages(t, fset, clockSeamPkgs...)
-	if len(pkgs) != len(clockSeamPkgs) {
-		t.Fatalf("parsed %d clock-seam packages, want %d", len(pkgs), len(clockSeamPkgs))
+	seam := map[string]bool{}
+	for _, dir := range clockSeamPkgs {
+		seam[dir] = true
 	}
-	for _, p := range pkgs {
-		for _, finding := range clockReads(fset, p.files) {
-			t.Error(finding)
+	checked := 0
+	for _, p := range parseSourcePackages(t, fset, "internal", "pkg", "cmd") {
+		if seam[p.dir] {
+			checked++
+			for _, finding := range clockReads(fset, p.files) {
+				t.Error(finding)
+			}
+			continue
 		}
+		for _, f := range p.files {
+			allowed, bad := parseAllows(fset, f)
+			for _, finding := range append(bad, allowed.stale("directclock", "outside the clock-seam packages")...) {
+				t.Error(finding)
+			}
+		}
+	}
+	if checked != len(clockSeamPkgs) {
+		t.Fatalf("parsed %d clock-seam packages, want %d", checked, len(clockSeamPkgs))
 	}
 }
 
@@ -194,6 +266,17 @@ import "time"
 func f() time.Time {
 	return time.Now() //cryptolint:allow guardedby not a clock justification
 }`, []string{"direct time.Now"}},
+		{"misspelled check", `package p
+import "time"
+func f() time.Time {
+	return time.Now() //cryptolint:allow directclok a typo suppresses nothing
+}`, []string{`unknown check "directclok"`, "direct time.Now"}},
+		{"stale directive", `package p
+import "time"
+func f(d time.Duration) time.Duration {
+	//cryptolint:allow directclock nothing here reads the clock
+	return 2 * d
+}`, []string{"src.go:4:2: stale //cryptolint:allow directclock"}},
 		{"time.Time methods", `package p
 import "time"
 func f(a, b time.Time) bool { return a.After(b) }`, nil},

@@ -1,6 +1,6 @@
-// Package guarded exercises the guardedby pass: sibling-mutex annotations,
-// cross-type annotations, caller-holds propagation, loop releases, goroutine
-// spawns, escaped function values and the allow grammar.
+// Package guarded is the testdata of TestGuardedByWants: sibling-mutex
+// annotations, cross-type annotations, caller-holds propagation, loop
+// releases, goroutine spawns, escaped function values and the allow grammar.
 package guarded
 
 import "sync"
